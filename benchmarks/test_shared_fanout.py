@@ -10,9 +10,10 @@ through the 4-worker persistent sharded pool must beat the design it
 replaced — a fresh executor per call shipping the pickled snapshot to
 every worker and returning each table as a pickled Route dict — by
 >= 3x.  That churn baseline is reconstructed from the same worker
-primitives (per-destination ``_pool_settle_one`` jobs, ``init``-mode
-spec, ``shutdown`` after the call), so both sides of the ratio run on
-the same machine in the same process.  The pool-vs-serial ratio is
+primitives (``_pool_init`` and ``_worker_snapshot`` under an
+``init``-mode spec, one :func:`_settle_one` job per destination,
+``shutdown`` after the call), so both sides of the ratio run on the
+same machine in the same process.  The pool-vs-serial ratio is
 recorded ungated: it depends on core count, and at 4 workers the honest
 win is bounded by the serial decode the parent still pays lazily.
 Speedup runs pin the scalar kernel — under the batched kernel the
@@ -29,6 +30,7 @@ import pytest
 
 from repro.bgp import kernels
 from repro.session import SimulationSession
+from repro.session import pool as session_pool
 from repro.topology import generate_named
 from repro.topology.snapshot import shared_memory_available
 
@@ -78,6 +80,18 @@ def test_ship_bytes_per_attach_is_o1(verify_500, bench_report):
     assert ship * 20 < snapshot_bytes
 
 
+def _settle_one(job):
+    """The replaced design's worker job: one destination per job.
+
+    Settles on the snapshot the executor initializer shipped and returns
+    the table as a pickled ``{asn: Route}`` dict — the per-route object
+    overhead the packed shard transport removed.
+    """
+    spec, destination = job
+    snapshot = session_pool._worker_snapshot(spec)
+    return destination, kernels.settle(snapshot, destination, kernel="scalar")
+
+
 def _churn_cold_sweep(graph, destinations):
     """One cold sweep the way the pre-PR pool ran it.
 
@@ -90,7 +104,6 @@ def _churn_cold_sweep(graph, destinations):
     from concurrent.futures import ProcessPoolExecutor
 
     from repro import obs
-    from repro import session as session_module
     from repro.bgp.routing import RoutingTable
 
     snapshot = graph.snapshot()
@@ -100,19 +113,16 @@ def _churn_cold_sweep(graph, destinations):
     start = time.perf_counter()
     executor = ProcessPoolExecutor(
         max_workers=POOL_WORKERS,
-        initializer=session_module._pool_init,
+        initializer=session_pool._pool_init,
         initargs=(obs_state, snapshot, ship),
     )
     futures = [
-        executor.submit(
-            session_module._pool_settle_one,
-            (spec, obs_state, "scalar", destination, None),
-        )
+        executor.submit(_settle_one, (spec, destination))
         for destination in destinations
     ]
     tables = {}
     for future in futures:
-        destination, best, _payload = future.result()
+        destination, best = future.result()
         tables[destination] = RoutingTable(graph, destination, best)
     executor.shutdown(wait=False)
     return time.perf_counter() - start, tables
@@ -167,17 +177,14 @@ def test_cold_sweep_speedup(verify_500, bench_report, benchmark):
     vs_serial = serial_seconds / pool_seconds if pool_seconds else 0.0
     size = len(verify_500)
     bench_report.record("churn_cold_seconds", churn_seconds, "seconds",
-                        topology="verify-500", topology_size=size,
-                        workers=POOL_WORKERS)
+                        topology="verify-500", topology_size=size)
     bench_report.record("serial_cold_seconds", serial_seconds, "seconds",
                         topology="verify-500", topology_size=size)
     bench_report.record("pool_cold_seconds", pool_seconds, "seconds",
-                        topology="verify-500", topology_size=size,
-                        workers=POOL_WORKERS)
-    bench_report.record("speedup", speedup, "x", gate=True, better="higher",
-                        workers=POOL_WORKERS)
+                        topology="verify-500", topology_size=size)
+    bench_report.record("speedup", speedup, "x", gate=True, better="higher")
     bench_report.record("speedup_vs_serial", vs_serial, "x",
-                        better="higher", workers=POOL_WORKERS)
+                        better="higher")
     assert speedup >= 3.0
 
 
@@ -204,5 +211,4 @@ def test_batched_pool_sweep_recorded(verify_500, bench_report):
     finally:
         kernels.set_active(previous)
     bench_report.record("batched_pool_cold_seconds", elapsed, "seconds",
-                        topology="verify-500", topology_size=len(verify_500),
-                        workers=POOL_WORKERS)
+                        topology="verify-500", topology_size=len(verify_500))

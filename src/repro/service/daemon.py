@@ -47,7 +47,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import Deque, Dict, Optional, Set, Union
+from typing import Deque, Dict, Optional, Set
 
 from ..bgp.routing import RoutingTable
 from ..errors import ServiceError, ServiceOverloadError
@@ -59,7 +59,7 @@ from ..obs import (
     get_logger,
     get_registry,
 )
-from ..session import SessionCore, SimulationSession
+from ..session import SessionCore
 
 _LOG = get_logger("service")
 
@@ -135,21 +135,21 @@ class ServiceConfig:
 class MiroService:
     """Asyncio route-lookup / MIRO-negotiation daemon over one core.
 
-    Construct from a :class:`SimulationSession` (unwrapped to its core)
-    or a :class:`SessionCore` directly; use as an async context manager
-    or call :meth:`start` / :meth:`drain` explicitly.  All request
-    methods must be called from the event loop the service was started
-    on.
+    Construct from a session (:class:`SessionCore`, also bound as
+    :class:`~repro.session.SimulationSession`), kept as :attr:`core`, so
+    the service shares its cache with every other holder of that
+    session.  Use as an async context manager or call :meth:`start` /
+    :meth:`drain` explicitly.  All request methods must be called from
+    the event loop the service was started on.
     """
 
     def __init__(
         self,
-        session: Union[SimulationSession, SessionCore],
+        session: SessionCore,
         config: Optional[ServiceConfig] = None,
         runtime: Optional[MiroRuntime] = None,
     ) -> None:
-        self.core = session.core if isinstance(session, SimulationSession) \
-            else session
+        self.core = session
         self.config = config or ServiceConfig()
         self.runtime = runtime
         self._pending: Dict[int, asyncio.Future] = {}

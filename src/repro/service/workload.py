@@ -143,10 +143,12 @@ async def run_workload(
     requests have finished — the generator never slows down to match
     the service, which is what lets overload actually manifest as
     backpressure sheds.  Churn (when enabled) flaps links through
-    :meth:`MiroService.apply_churn`, alternating down/up so the
-    topology always recovers; negotiation requests (when enabled) pick
-    a random requester AS and negotiate toward its destination's origin
-    through the runtime.
+    :meth:`MiroService.apply_churn`: one flap at a time, taking down only
+    links that are up and restoring them last-down-first-up (a delta can
+    only be reverted on the graph it produced), so the topology always
+    recovers; negotiation requests (when enabled) pick a random
+    requester AS and negotiate toward its destination's origin through
+    the runtime.
     """
     rng = random.Random(config.seed)
     sampler = ZipfSampler(config.destinations, s=config.zipf_s)
@@ -155,7 +157,9 @@ async def run_workload(
     loop = asyncio.get_running_loop()
     graph = service.core.graph
     links = [(a, b) for a, b, _rel in graph.iter_links()]
-    applied_flaps: List[object] = []
+    # (link, AppliedDelta) per link currently down, oldest first
+    flaps: List[Tuple[Tuple[int, int], object]] = []
+    churn_lock = asyncio.Lock()
 
     async def one_lookup(destination: int) -> None:
         start = time.perf_counter()
@@ -198,15 +202,20 @@ async def run_workload(
             result.tunnels += 1
 
     async def one_churn() -> None:
-        if applied_flaps and (len(applied_flaps) >= 4 or rng.random() < 0.5):
-            applied = applied_flaps.pop(rng.randrange(len(applied_flaps)))
-            await service.apply_churn(lambda g: applied.revert())
-        else:
-            a, b = links[rng.randrange(len(links))]
-            delta = TopologyDelta.link_down(a, b)
-            applied = await service.apply_churn(delta.apply)
-            applied_flaps.append(applied)
-        result.churn_events += 1
+        async with churn_lock:
+            if flaps and (
+                len(flaps) >= min(4, len(links)) or rng.random() < 0.5
+            ):
+                _link, applied = flaps.pop()
+                await service.apply_churn(lambda g: applied.revert())
+            else:
+                down = {link for link, _applied in flaps}
+                link = links[rng.randrange(len(links))]
+                while link in down:
+                    link = links[rng.randrange(len(links))]
+                delta = TopologyDelta.link_down(*link)
+                flaps.append((link, await service.apply_churn(delta.apply)))
+            result.churn_events += 1
 
     start = time.perf_counter()
     next_at = loop.time()
@@ -227,8 +236,8 @@ async def run_workload(
     if tasks:
         await asyncio.gather(*tasks)
     # leave the topology the way we found it
-    while applied_flaps:
-        applied = applied_flaps.pop()
+    while flaps:
+        _link, applied = flaps.pop()
         await service.apply_churn(lambda g: applied.revert())
     result.duration_seconds = time.perf_counter() - start
     _LOG.info("workload_done", **{

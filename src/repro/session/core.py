@@ -1,10 +1,10 @@
 """SessionCore: the concurrency-safe route-computation engine.
 
-This is the session stack's state machine, extracted from the old
-monolithic ``session.py`` so a serving plane can drive it from many
-threads (asyncio executor workers, the event loop, background churn)
-at once.  :class:`~repro.session.facade.SimulationSession` wraps it
-1:1 for the existing single-threaded callers.
+This is the session stack's one class.  Single-threaded callers (the
+CLI, the experiment samplers, the oracle) hold it under its historical
+name :class:`SimulationSession`; the serving plane drives the very same
+object from many threads (asyncio executor workers, the event loop,
+background churn) at once.
 
 Lock discipline — the rules :mod:`tools.check_locks` enforces by AST:
 
@@ -73,10 +73,8 @@ from .cache import (
 from .pool import (
     _FANOUTS_TOTAL,
     _POOL_SHARD_SIZE,
-    POOL_SHARD_FACTOR,
     _decode_table,
     _FanoutPool,
-    _pool_settle_one,
     _pool_settle_shard,
 )
 
@@ -85,13 +83,6 @@ _LOG = get_logger("session")
 
 #: ``parallel="auto"`` only spins up a pool for at least this many misses.
 AUTO_PARALLEL_THRESHOLD = 16
-
-
-def _seam():
-    """The ``repro.session`` package namespace (the test monkeypatch seam)."""
-    from repro import session
-
-    return session
 
 
 class _Flight:
@@ -115,9 +106,27 @@ class SessionCore:
 
     Owns the LRU table cache, the per-session stats, and the persistent
     fan-out pool; every public method is safe to call from any thread.
-    See the module docstring for the lock discipline.  The
-    single-threaded ergonomics (context manager, ``ensure_session``)
-    live on the :class:`~repro.session.facade.SimulationSession` facade.
+    See the module docstring for the lock discipline.  One session
+    threads through a whole evaluation run (CLI command, figure
+    regeneration, forwarder bring-up) so every layer draws from the
+    same cache and the same telemetry counters.
+
+    ``parallel`` picks the :meth:`compute_many` dispatch policy:
+
+    * ``"auto"`` (default) — use the worker pool when a transport to the
+      workers exists (shared memory, or a picklable snapshot) and at
+      least :data:`AUTO_PARALLEL_THRESHOLD` destinations miss the cache;
+    * ``True`` — always try the pool for unpinned misses (still falls
+      back to serial when the pool cannot start);
+    * ``False`` — always compute serially.
+
+    Pinned misses always settle in the calling thread.  The pool itself
+    is *persistent*: workers spawn on the first pooled fan-out and are
+    reused by every later one, with the snapshot republished only when
+    the graph version moves.  ``shards`` overrides how many destination
+    ranges a miss list is split into.  Sessions are context managers;
+    :meth:`close` (or ``with``) shuts the workers down deterministically,
+    and garbage collection of an unclosed session does the same.
     """
 
     def __init__(
@@ -136,12 +145,7 @@ class SessionCore:
         self._cache = RouteTableCache(maxsize=max_cached_tables)
         self._stats = SessionStats()
         self._parallel = parallel
-        self._max_workers = max_workers
         self._pool = _FanoutPool(max_workers=max_workers, shards=shards)
-        # (version, picklable, pickled bytes) — the probe is version-keyed
-        # so a graph that becomes (un)picklable after mutation re-probes
-        # instead of keeping a stale verdict forever.
-        self._snapshot_pickles: Optional[Tuple[int, bool, int]] = None
         self._seen_version = graph.version
         self._lock = threading.Condition(threading.Lock())
         self._flights: Dict[CacheKey, _Flight] = {}
@@ -168,19 +172,10 @@ class SessionCore:
 
     def pool_info(self) -> Dict[str, object]:
         """JSON-ready view of the fan-out pool, for ``repro stats``."""
-        pool = self._pool
         return {
             "parallel": self._parallel
             if isinstance(self._parallel, str) else bool(self._parallel),
-            "max_workers": pool.workers,
-            "shards": pool.shards,
-            "shard_factor": POOL_SHARD_FACTOR,
-            "shared_memory": _seam().shared_memory_available(),
-            "mode": pool.mode,
-            "published_version": pool.version,
-            "shared_bytes": pool.shared_bytes,
-            "ship_bytes": pool.ship_bytes,
-            "alive": pool.alive,
+            **self._pool.info(),
             "parallel_fanouts": self._stats.parallel_fanouts,
         }
 
@@ -191,10 +186,17 @@ class SessionCore:
         """Shut down the persistent worker pool and release shared memory.
 
         Idempotent, callable with fills in flight (a cancelled pool job
-        just falls back to the serial path), and the core stays usable —
-        a later pooled fan-out respawns workers.
+        just falls back to the serial path), and the session stays
+        usable — a later pooled fan-out respawns workers.  ``wait``
+        blocks until worker processes have exited.
         """
         self._pool.close(wait=wait)
+
+    def __enter__(self) -> "SessionCore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # mutation gate
@@ -525,111 +527,88 @@ class SessionCore:
         (the post-derivation remainder, matching the historical
         ``tables_computed`` accounting).
         """
+        if pinned is not None:
+            # a pinned set pins one destination's computation: pinned
+            # misses never derive and settle here, never on the pool
+            pinned_tables = {
+                destination: compute_routes(
+                    self._graph, destination, pinned=pinned
+                )
+                for destination in leaders
+            }
+            return pinned_tables, [], len(leaders), False
+        # derive what we can from pre-mutation tables; only the remainder
+        # is worth fanning out to a pool
         filled: Dict[int, RoutingTable] = {}
         derived: List[int] = []
         remaining: List[int] = []
-        if pinned is None:
-            # derive what we can from pre-mutation tables; only the
-            # remainder is worth fanning out to a pool
-            for destination in leaders:
-                result = self._derive_outside(parents.get(destination))
-                if result is not None:
-                    filled[destination], affected = result
-                    derived.append(affected)
-                else:
-                    remaining.append(destination)
-        else:
-            remaining = list(leaders)
+        for destination in leaders:
+            result = self._derive_outside(parents.get(destination))
+            if result is not None:
+                filled[destination], affected = result
+                derived.append(affected)
+            else:
+                remaining.append(destination)
 
         used_pool = False
         if remaining:
             policy = self._parallel if parallel is None else parallel
-            if self._use_pool(policy, len(remaining)):
-                used_pool = self._fanout_pool(
-                    snapshot, remaining, pinned, filled
-                )
+            if self._use_pool(policy, len(remaining), snapshot):
+                used_pool = self._fanout_pool(snapshot, remaining, filled)
             rest = [d for d in remaining if d not in filled]
-            if rest and pinned is None:
-                # Unpinned remainder: sweep it through the active kernel
-                # backend in one batch — backends with a settle_many
-                # entry point (the batched wave kernel) amortize their
-                # per-wave cost over the whole sweep.
+            if rest:
+                # sweep the remainder through the active kernel backend
+                # in one batch — backends with a settle_many entry point
+                # (the batched wave kernel) amortize their per-wave cost
+                # over the whole sweep
                 swept = kernels.settle_many(snapshot, rest)
                 for destination in rest:
                     filled[destination] = RoutingTable(
                         self._graph, destination, swept[destination]
-                    )
-            else:
-                for destination in rest:
-                    filled[destination] = compute_routes(
-                        self._graph, destination, pinned=pinned
                     )
         return filled, derived, len(remaining), used_pool
 
     # ------------------------------------------------------------------
     # pool dispatch (lock released)
     # ------------------------------------------------------------------
-    def _snapshot_pickle_bytes(self) -> Optional[int]:
-        """Pickled snapshot size for the current version, or None.
-
-        The verdict is memoized *per graph version*: a mutation discards
-        it, so a graph that becomes (un)picklable after the transition
-        is re-probed instead of keeping the stale answer forever.
-        """
-        import pickle
-
-        version = self._graph.version
-        memo = self._snapshot_pickles
-        if memo is None or memo[0] != version:
-            try:
-                nbytes = len(pickle.dumps(self._graph.snapshot()))
-                memo = (version, True, nbytes)
-            except Exception:
-                memo = (version, False, 0)
-            self._snapshot_pickles = memo
-        return memo[2] if memo[1] else None
-
-    def _use_pool(self, policy: Union[bool, str], n_misses: int) -> bool:
+    def _use_pool(
+        self,
+        policy: Union[bool, str],
+        n_misses: int,
+        snapshot: TopologySnapshot,
+    ) -> bool:
         if policy is False:
             return False
         if policy == "auto" and (
             (os.cpu_count() or 1) < 2 or n_misses < AUTO_PARALLEL_THRESHOLD
         ):
             return False
-        # Shared memory needs no picklable snapshot — only the pickle
-        # fallback does, and only that path pays the probe.
-        if _seam().shared_memory_available():
-            return True
-        return self._snapshot_pickle_bytes() is not None
+        return self._pool.can_run(snapshot)
 
     def _fanout_pool(
         self,
         snapshot: TopologySnapshot,
         misses: List[int],
-        pinned: Optional[Dict[int, Route]],
         tables: Dict[int, RoutingTable],
     ) -> bool:
-        """Dispatch ``misses`` across the persistent pool; True if any ran.
+        """Dispatch unpinned ``misses`` across the persistent pool; True
+        if any job ran.
 
-        Unpinned misses are sharded into contiguous destination ranges —
-        several per worker, pulled from the executor's shared call
-        queue, so an idle worker steals the next range instead of
-        waiting out a straggler.  Pinned misses stay per-destination
-        jobs (a pinned set pins *one* destination's computation).  A job
-        that fails on pool infrastructure (spawn refused, broken worker,
-        pickling quirk) is simply left out of ``tables`` and the caller
-        recomputes its destinations serially, while every *successful*
-        job's drained metrics/spans payload is absorbed exactly once — a
-        failed job ships no payload, so nothing is lost with it and
-        nothing is double-counted when its tables are recomputed in the
-        parent.  Library errors — e.g. an invalid pinned route —
-        propagate unchanged.  Returns False only when no job completed
-        (the fan-out was effectively serial).
+        Misses are sharded into contiguous destination ranges — several
+        per worker, pulled from the executor's shared call queue, so an
+        idle worker steals the next range instead of waiting out a
+        straggler.  A job that fails on pool infrastructure (spawn
+        refused, broken worker, pickling quirk) is simply left out of
+        ``tables`` and the caller recomputes its destinations serially,
+        while every *successful* job's drained metrics/spans payload is
+        absorbed exactly once — a failed job ships no payload, so nothing
+        is lost with it and nothing is double-counted when its tables are
+        recomputed in the parent.  Library errors propagate unchanged.
+        Returns False only when no job completed (the fan-out was
+        effectively serial).
         """
         try:
-            executor, spec = self._pool.ensure(
-                snapshot, self._snapshot_pickle_bytes
-            )
+            executor, spec = self._pool.ensure(snapshot)
         except Exception:
             return False
         # Workers settle on the parent's active backend — unless it opts
@@ -639,27 +618,14 @@ class SessionCore:
         obs_state = obs.worker_state()
         futures: List[Tuple[Tuple[int, ...], object]] = []
         try:
-            if pinned is not None:
-                pinned_items = tuple(pinned.items())
-                for destination in misses:
-                    futures.append((
-                        (destination,),
-                        executor.submit(
-                            _pool_settle_one,
-                            (spec, obs_state, kernel, destination,
-                             pinned_items),
-                        ),
-                    ))
-            else:
-                for shard in self._pool.shard(misses):
-                    _POOL_SHARD_SIZE.observe(len(shard))
-                    futures.append((
-                        shard,
-                        executor.submit(
-                            _pool_settle_shard,
-                            (spec, obs_state, kernel, shard),
-                        ),
-                    ))
+            for shard in self._pool.shard(misses):
+                _POOL_SHARD_SIZE.observe(len(shard))
+                futures.append((
+                    shard,
+                    executor.submit(
+                        _pool_settle_shard, (spec, obs_state, kernel, shard)
+                    ),
+                ))
         except Exception:
             if not futures:
                 return False
@@ -675,32 +641,23 @@ class SessionCore:
                     first=shard[0],
                 )
                 continue
-            if pinned is not None:
-                dest, best, payload = result
-                obs.absorb_worker(payload)
-                if best is None:
-                    # the worker could not settle this job in index
-                    # space; the caller's serial loop picks it up
-                    continue
-                bests: List[object] = [best]
-                dests: Tuple[int, ...] = (dest,)
-            else:
-                dests, packed, payload = result
-                obs.absorb_worker(payload)
-                if packed is None:
-                    continue
-                # decode lazily: each table gets a thunk over its slice
-                # of the shard's packed buffer, so Route materialization
-                # is paid on first read, not inside the fan-out
-                offsets, blob = packed
-                words = memoryview(blob).cast("q")
-                bests = [
-                    (lambda words=words, lo=offsets[k], hi=offsets[k + 1]:
-                     _decode_table(words, lo, hi))
-                    for k in range(len(dests))
-                ]
-            for dest, best in zip(dests, bests):
-                tables[dest] = RoutingTable(self._graph, dest, best)
+            dests, packed, payload = result
+            obs.absorb_worker(payload)
+            if packed is None:
+                # the worker could not settle this shard in index space;
+                # the caller's serial sweep picks it up
+                continue
+            # decode lazily: each table gets a thunk over its slice of
+            # the shard's packed buffer, so Route materialization is paid
+            # on first read, not inside the fan-out
+            offsets, blob = packed
+            words = memoryview(blob).cast("q")
+            for k, dest in enumerate(dests):
+                tables[dest] = RoutingTable(
+                    self._graph, dest,
+                    lambda words=words, lo=offsets[k], hi=offsets[k + 1]:
+                    _decode_table(words, lo, hi),
+                )
             succeeded += 1
         return succeeded > 0
 
@@ -726,3 +683,27 @@ class SessionCore:
             f"SessionCore(graph={self._graph!r}, "
             f"cached={len(self._cache)}, version={self._graph.version})"
         )
+
+
+#: The historical name every single-threaded call site uses; the same
+#: class object, so patching one patches both.
+SimulationSession = SessionCore
+
+
+def ensure_session(
+    graph: ASGraph, session: Optional[SessionCore] = None
+) -> SessionCore:
+    """Return ``session`` (validated against ``graph``) or a fresh one.
+
+    The helper every layer uses to accept an optional shared session
+    while staying usable stand-alone: callers that thread a session
+    through get cross-layer caching; callers that do not get a private
+    session with identical semantics.
+    """
+    if session is None:
+        return SessionCore(graph)
+    if session.graph is not graph:
+        raise SessionError(
+            "session is bound to a different graph than the one passed in"
+        )
+    return session

@@ -23,11 +23,11 @@ import os
 import pickle
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from array import array
 
-from concurrent.futures import ProcessPoolExecutor  # noqa: F401  (re-exported seam)
+from concurrent.futures import ProcessPoolExecutor
 
 from .. import obs
 from ..bgp import kernels
@@ -43,7 +43,7 @@ from ..topology.snapshot import (
     SharedSnapshot,
     SharedSnapshotDescriptor,
     TopologySnapshot,
-    shared_memory_available,  # noqa: F401  (re-exported seam)
+    shared_memory_available,
 )
 
 _LOG = get_logger("session")
@@ -88,19 +88,6 @@ _SHARED_SNAPSHOT_BYTES = get_registry().histogram(
 #: work-stealing scheduler: a worker that drains a cheap shard pulls the
 #: next one instead of idling behind a straggler.
 POOL_SHARD_FACTOR = 4
-
-
-def _seam():
-    """The ``repro.session`` package namespace.
-
-    Infrastructure the pool swaps in tests — ``ProcessPoolExecutor``,
-    ``shared_memory_available`` — is resolved through the package
-    attribute at call time, so ``monkeypatch.setattr(repro.session, ...)``
-    keeps working exactly as it did when the session was one module.
-    """
-    from repro import session
-
-    return session
 
 
 #: Job spec: (transport mode, graph version, descriptor-or-None, ship bytes).
@@ -257,33 +244,15 @@ def _pool_settle_shard(
     return destinations, packed, obs.drain_worker()
 
 
-def _pool_settle_one(
-    job: Tuple[
-        PoolSpec, Tuple[bool, float], str, int,
-        Optional[Tuple[Tuple[int, Route], ...]],
-    ],
-) -> Tuple[int, Optional[Dict[int, Route]], Dict[str, object]]:
-    """Settle one pinned destination in a worker (pinned sets don't shard)."""
-    spec, obs_state, kernel, destination, pinned_items = job
-    _worker_configure_obs(obs_state)
-    pinned = dict(pinned_items) if pinned_items else None
-    try:
-        snapshot = _worker_snapshot(spec)
-        best = kernels.settle(
-            snapshot, destination, pinned=pinned, kernel=kernel
-        )
-    except (UnknownASError, KernelError):
-        best = None
-    return destination, best, obs.drain_worker()
-
-
 class _FanoutPool:
     """The session's persistent, version-keyed worker pool.
 
     Owns one :class:`~concurrent.futures.ProcessPoolExecutor` that
-    survives across :meth:`SimulationSession.compute_many` calls — the
+    survives across :meth:`SessionCore.compute_many` calls — the
     per-call spawn/teardown churn of the old design is gone — plus the
-    currently published :class:`SharedSnapshot` segment.  :meth:`ensure`
+    currently published :class:`SharedSnapshot` segment, and the whole
+    transport decision: :meth:`can_run` says whether any transport
+    reaches the workers at all, and :meth:`ensure` picks one and
     republishes only when the graph version moves:
 
     * shared-memory mode — the snapshot is copied into a fresh segment,
@@ -316,6 +285,10 @@ class _FanoutPool:
         self._shared: Optional[SharedSnapshot] = None
         self._spec: Optional[PoolSpec] = None
         self._version: Optional[int] = None
+        # (version, pickled bytes or None) — keyed on the version so a
+        # graph that becomes (un)picklable after a mutation is re-probed
+        # instead of keeping a stale verdict forever
+        self._pickles: Optional[Tuple[int, Optional[int]]] = None
 
     @property
     def workers(self) -> int:
@@ -329,16 +302,6 @@ class _FanoutPool:
         return "shm" if self._mode == "shm" else "pickle"
 
     @property
-    def version(self) -> Optional[int]:
-        return self._version
-
-    @property
-    def alive(self) -> bool:
-        return self._executor is not None and not getattr(
-            self._executor, "_broken", False
-        )
-
-    @property
     def shared_bytes(self) -> Optional[int]:
         return self._shared.nbytes if self._shared is not None else None
 
@@ -349,28 +312,58 @@ class _FanoutPool:
     def executor(self) -> Optional[ProcessPoolExecutor]:
         return self._executor
 
+    def info(self) -> Dict[str, object]:
+        """JSON-ready view of the pool's transport and lifecycle state."""
+        return {
+            "max_workers": self.workers,
+            "shards": self.shards,
+            "shard_factor": POOL_SHARD_FACTOR,
+            "shared_memory": shared_memory_available(),
+            "mode": self.mode,
+            "published_version": self._version,
+            "shared_bytes": self.shared_bytes,
+            "ship_bytes": self.ship_bytes,
+            "alive": self._executor is not None
+            and not getattr(self._executor, "_broken", False),
+        }
+
+    def _pickle_bytes(self, snapshot: TopologySnapshot) -> Optional[int]:
+        """Pickled size of ``snapshot``, or None when it does not pickle.
+
+        Memoized per graph version; only the pickle fallback pays it.
+        """
+        memo = self._pickles
+        if memo is None or memo[0] != snapshot.version:
+            try:
+                memo = (snapshot.version, len(pickle.dumps(snapshot)))
+            except Exception:
+                memo = (snapshot.version, None)
+            self._pickles = memo
+        return memo[1]
+
+    def can_run(self, snapshot: TopologySnapshot) -> bool:
+        """True when some transport can ship ``snapshot`` to workers."""
+        return (
+            shared_memory_available()
+            or self._pickle_bytes(snapshot) is not None
+        )
+
     def ensure(
-        self,
-        snapshot: TopologySnapshot,
-        pickle_probe: Callable[[], Optional[int]],
+        self, snapshot: TopologySnapshot
     ) -> Tuple[ProcessPoolExecutor, PoolSpec]:
         """Publish ``snapshot`` (if its version is new) and return the
         live executor plus the job spec workers attach from.
 
-        ``pickle_probe`` is consulted only on the fallback path; it
-        returns the snapshot's pickled size, or None when the snapshot
-        does not pickle at all — which raises, since no transport can
-        reach the workers.
+        Raises :class:`SessionError` when shared memory is unavailable
+        and the snapshot does not pickle — no transport reaches the
+        workers.
         """
         with self._lock:
-            return self._ensure_locked(snapshot, pickle_probe)
+            return self._ensure_locked(snapshot)
 
     def _ensure_locked(
-        self,
-        snapshot: TopologySnapshot,
-        pickle_probe: Callable[[], Optional[int]],
+        self, snapshot: TopologySnapshot
     ) -> Tuple[ProcessPoolExecutor, PoolSpec]:
-        seam = _seam()
         if self._executor is not None and getattr(
             self._executor, "_broken", False
         ):
@@ -384,7 +377,7 @@ class _FanoutPool:
             return self._executor, self._spec
         start = time.perf_counter()
         shared: Optional[SharedSnapshot] = None
-        if seam.shared_memory_available():
+        if shared_memory_available():
             try:
                 shared = SharedSnapshot.publish(snapshot)
             except Exception:
@@ -400,14 +393,14 @@ class _FanoutPool:
             _SHARED_SNAPSHOT_BYTES.observe(shared.nbytes)
             if self._executor is None or self._mode != "shm":
                 self._shutdown_executor()
-                self._executor = seam.ProcessPoolExecutor(
+                self._executor = ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_pool_init,
                     initargs=(obs.worker_state(),),
                 )
             self._mode = "shm"
         else:
-            ship_bytes_opt = pickle_probe()
+            ship_bytes_opt = self._pickle_bytes(snapshot)
             if ship_bytes_opt is None:
                 raise SessionError(
                     "topology snapshot is not picklable and shared memory "
@@ -415,7 +408,7 @@ class _FanoutPool:
                 )
             self._release_shared()
             self._shutdown_executor()
-            self._executor = seam.ProcessPoolExecutor(
+            self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_pool_init,
                 initargs=(obs.worker_state(), snapshot, ship_bytes_opt),

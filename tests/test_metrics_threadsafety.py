@@ -109,23 +109,34 @@ class TestHistogram:
         histogram = MetricsRegistry().histogram(
             "t_hist_racing_seconds", buckets=(0.01, 0.1, 1.0)
         )
+        # both readers are running before the observer starts, and each
+        # reads at least once whatever the scheduling
+        start = threading.Barrier(3)
         stop = threading.Event()
         failures = []
+        reads = []
 
         def observe():
+            start.wait()
             for i in range(ITERATIONS):
                 histogram.observe(0.05 if i % 2 else 0.5)
             stop.set()
 
         def read():
+            count = 0
             try:
-                while not stop.is_set():
+                start.wait()
+                while True:
                     q = histogram.quantile(0.99)
                     assert 0.0 <= q <= 1.0
-                    summary = histogram.quantiles((0.5, 0.9))
-                    assert summary[0.5] <= summary[0.9]
+                    summary = histogram.quantiles()
+                    assert summary["p50"] <= summary["p90"] <= summary["p99"]
+                    count += 1
+                    if stop.is_set():
+                        break
             except Exception as exc:  # pragma: no cover - failure path
                 failures.append(repr(exc))
+            reads.append(count)
 
         threads = [
             threading.Thread(target=observe),
@@ -138,6 +149,7 @@ class TestHistogram:
             thread.join(timeout=60)
         assert not any(t.is_alive() for t in threads)
         assert not failures, failures
+        assert len(reads) == 2 and min(reads) >= 1, reads
         assert histogram.count == ITERATIONS
 
 

@@ -26,7 +26,8 @@ from repro.service import (
     serve,
 )
 from repro.service.daemon import _COALESCED, _SHED
-from repro.session import _CACHE_EVENTS, SimulationSession
+from repro.session import SimulationSession
+from repro.session.cache import _CACHE_EVENTS
 from repro.miro.runtime import MiroRuntime
 
 import random
@@ -521,6 +522,32 @@ class TestWorkload:
 
         result = asyncio.run(main())
         assert result.churn_events > 0
+        assert small_graph.version == version_before
+        assert sorted(
+            (a, b, rel) for a, b, rel in small_graph.iter_links()
+        ) == links_before
+
+    def test_long_churn_run_reverts_in_order(self, small_graph):
+        """Regression: many overlapping flaps used to revert deltas out
+        of order ("graph has been mutated since it was applied") or take
+        down a link that was already down."""
+        version_before = small_graph.version
+        links_before = sorted(
+            (a, b, rel) for a, b, rel in small_graph.iter_links()
+        )
+
+        async def main():
+            with SimulationSession(small_graph, parallel=False) as session:
+                async with MiroService(session) as service:
+                    config = WorkloadConfig(
+                        destinations=tuple(small_graph.ases[:8]),
+                        requests=600, rate=0.0, seed=7, churn_every=2,
+                    )
+                    return await run_workload(service, config)
+
+        result = asyncio.run(main())
+        assert result.churn_events == 300
+        assert result.errors == 0
         assert small_graph.version == version_before
         assert sorted(
             (a, b, rel) for a, b, rel in small_graph.iter_links()

@@ -13,6 +13,7 @@ from repro.errors import RoutingError, SessionError
 from repro.session import (
     AUTO_PARALLEL_THRESHOLD,
     RouteTableCache,
+    SessionCore,
     SimulationSession,
     ensure_session,
     pinned_key,
@@ -410,30 +411,18 @@ def _fake_pool_executor(fail_for=frozenset(), error=RuntimeError):
             return self._attached[version].snapshot
 
         def submit(self, fn, job):
-            import repro.session as session_module
             from repro.bgp.routing import compute_routes_snapshot
+            from repro.session.pool import _encode_shard
 
-            if fn is session_module._pool_settle_one:
-                spec, _obs, _kernel, destination, pinned_items = job
-                destinations = (destination,)
-                pinned = dict(pinned_items) if pinned_items else None
-            else:
-                spec, _obs, _kernel, destinations = job
-                pinned = None
+            spec, _obs, _kernel, destinations = job
             broken = [d for d in destinations if d in fail_for]
             if broken:
                 return FakeFuture(exc=error(f"injected fault for {broken[0]}"))
             snapshot = self._snapshot_for(spec)
             swept = {
-                d: compute_routes_snapshot(snapshot, d, pinned=pinned)
-                for d in destinations
+                d: compute_routes_snapshot(snapshot, d) for d in destinations
             }
-            if fn is session_module._pool_settle_one:
-                return FakeFuture(
-                    value=(destinations[0], swept[destinations[0]],
-                           payload_template)
-                )
-            packed = session_module._encode_shard(destinations, swept)
+            packed = _encode_shard(destinations, swept)
             return FakeFuture(value=(destinations, packed, payload_template))
 
         def shutdown(self, wait=True, cancel_futures=False):
@@ -452,9 +441,8 @@ class TestPoolFaultInjection:
 
     def _session(self, small_graph, monkeypatch, fail_for=frozenset(),
                  error=RuntimeError):
-        import repro.session as session_module
         monkeypatch.setattr(
-            session_module, "ProcessPoolExecutor",
+            "repro.session.pool.ProcessPoolExecutor",
             _fake_pool_executor(fail_for=fail_for, error=error),
         )
         return SimulationSession(small_graph, parallel=True, max_workers=2)
@@ -568,6 +556,8 @@ class TestEnsureSessionAndAdopt:
     def test_none_makes_fresh_session(self, paper_graph):
         session = ensure_session(paper_graph)
         assert session.graph is paper_graph
+        # one session class under both names, no wrapper in between
+        assert type(session) is SimulationSession is SessionCore
 
     def test_same_graph_passes_through(self, paper_graph):
         session = SimulationSession(paper_graph)
@@ -873,6 +863,47 @@ class TestAutoPrune:
         assert session.stats.auto_pruned == 1
 
 
+class TestPinnedDispatch:
+    """Pinned misses settle in the calling thread: compute_many never
+    hands a pinned call to the pool, whatever the dispatch policy."""
+
+    def test_pinned_batch_never_fans_out(self, small_graph):
+        # a non-empty pinned set targets exactly one destination, so the
+        # only pinned mapping valid for a whole batch is the empty one
+        destinations = small_graph.ases[:AUTO_PARALLEL_THRESHOLD + 4]
+        with SimulationSession(small_graph, max_workers=2) as session:
+            tables = session.compute_many(
+                destinations, pinned={}, parallel=True
+            )
+            assert session.stats.parallel_fanouts == 0
+            assert session._pool.executor() is None
+        for destination in destinations:
+            expected = compute_routes(small_graph, destination, pinned={})
+            assert dict(tables[destination].items()) == \
+                dict(expected.items())
+
+    def test_pinned_destination_settles_in_parent(self, small_graph):
+        destination = small_graph.ases[0]
+        table = compute_routes(small_graph, destination)
+        # force some AS onto a candidate that is not its best route
+        holder, route = next(
+            (asn, candidate)
+            for asn in small_graph.ases
+            for candidate in table.candidates(asn)
+            if candidate != table.best(asn)
+        )
+        pinned = {holder: route}
+        with SimulationSession(small_graph, max_workers=2) as session:
+            tables = session.compute_many(
+                [destination], pinned=pinned, parallel=True
+            )
+            assert session.stats.parallel_fanouts == 0
+            assert session._pool.executor() is None
+        expected = compute_routes(small_graph, destination, pinned=pinned)
+        assert dict(tables[destination].items()) == dict(expected.items())
+        assert tables[destination].best(holder) == route
+
+
 class TestPersistentPool:
     """The fan-out pool persists across compute_many calls (no per-call
     executor churn), publishes the snapshot once per graph version, and
@@ -897,19 +928,19 @@ class TestPersistentPool:
             session.close()
 
     def test_snapshot_published_once_per_version(self, small_graph):
-        import repro.session as session_module
+        from repro.session.pool import _POOL_SHIP_SECONDS
 
         session = self._forced(small_graph)
         try:
             session.compute_many(small_graph.ases[:4])
-            publishes = session_module._POOL_SHIP_SECONDS.count
+            publishes = _POOL_SHIP_SECONDS.count
             session.compute_many(small_graph.ases[4:8])
             # same graph version: no republish, no new executor
-            assert session_module._POOL_SHIP_SECONDS.count == publishes
+            assert _POOL_SHIP_SECONDS.count == publishes
             small_graph.remove_link(*next(small_graph.iter_links())[:2])
             session.clear_cache()
             session.compute_many(small_graph.ases[:4])
-            assert session_module._POOL_SHIP_SECONDS.count == publishes + 1
+            assert _POOL_SHIP_SECONDS.count == publishes + 1
         finally:
             session.close()
 
@@ -992,12 +1023,12 @@ class TestShipAccounting:
     worker per graph version — not once per fan-out in the parent."""
 
     def _metrics(self):
-        import repro.session as session_module
+        from repro.session import pool
 
         return (
-            session_module._POOL_SHIP_BYTES,
-            session_module._POOL_ATTACH_SECONDS,
-            session_module._POOL_ATTACHES,
+            pool._POOL_SHIP_BYTES,
+            pool._POOL_ATTACH_SECONDS,
+            pool._POOL_ATTACHES,
         )
 
     def _attaches(self, counter, mode):
@@ -1025,10 +1056,8 @@ class TestShipAccounting:
     ):
         import pickle
 
-        import repro.session as session_module
-
         monkeypatch.setattr(
-            session_module, "shared_memory_available", lambda: False
+            "repro.session.pool.shared_memory_available", lambda: False
         )
         ship_bytes, attach_seconds, attaches = self._metrics()
         snapshot_bytes = len(pickle.dumps(small_graph.snapshot()))
@@ -1062,81 +1091,65 @@ class TestShipAccounting:
 
 
 class TestPickleProbeInvalidation:
-    """Regression for the stale _snapshot_pickles memo: the picklability
-    verdict is keyed on graph.version, so a graph whose snapshot becomes
-    (un)picklable after a mutation is re-probed."""
+    """Regression for a stale picklability memo: the pool's verdict is
+    keyed on the snapshot's graph version, so a graph whose snapshot
+    becomes (un)picklable after a mutation is re-probed."""
 
     class _Unpicklable:
+        def __init__(self, version):
+            self.version = version
+
         def __reduce__(self):
             raise TypeError("deliberately unpicklable")
 
-    def _poison(self, monkeypatch, graph):
-        """Make graph.snapshot() return an unpicklable object."""
-        poison = self._Unpicklable()
-        poison_version = graph.version
-        real_snapshot = type(graph).snapshot
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        from repro.session.pool import _FanoutPool
 
-        def snapshot(self):
-            if self.version == poison_version:
-                return poison
-            return real_snapshot(self)
-
-        monkeypatch.setattr(type(graph), "snapshot", snapshot)
-
-    def test_verdict_recovers_after_mutation(self, small_graph, monkeypatch):
-        import repro.session as session_module
-
-        # force the pickle-probe path: without shared memory the pool is
-        # only usable when the snapshot pickles
+        # force the pickle-probe path: without shared memory the pool can
+        # only run when the snapshot pickles
         monkeypatch.setattr(
-            session_module, "shared_memory_available", lambda: False
+            "repro.session.pool.shared_memory_available", lambda: False
         )
-        session = SimulationSession(small_graph, parallel=True)
-        self._poison(monkeypatch, small_graph)
-        assert session._use_pool(True, 1) is False
-        stale = session._snapshot_pickles
-        assert stale is not None and stale[1] is False
+        pool = _FanoutPool(max_workers=1)
+        yield pool
+        pool.close()
+
+    def test_verdict_recovers_after_mutation(self, small_graph, pool):
+        assert pool.can_run(self._Unpicklable(small_graph.version)) is False
+        assert pool._pickles == (small_graph.version, None)
+        with pytest.raises(SessionError):
+            pool.ensure(self._Unpicklable(small_graph.version))
         # the mutation moves graph.version off the poisoned one; the memo
         # must be re-probed, not served stale
         small_graph.remove_link(*next(small_graph.iter_links())[:2])
-        assert session._use_pool(True, 1) is True
-        fresh = session._snapshot_pickles
-        assert fresh[0] == small_graph.version and fresh[1] is True
-        assert fresh[2] > 0
+        assert pool.can_run(small_graph.snapshot()) is True
+        version, nbytes = pool._pickles
+        assert version == small_graph.version and nbytes > 0
 
     def test_verdict_invalidates_when_graph_stops_pickling(
-        self, small_graph, monkeypatch
+        self, small_graph, pool
     ):
-        import repro.session as session_module
-
-        monkeypatch.setattr(
-            session_module, "shared_memory_available", lambda: False
-        )
-        session = SimulationSession(small_graph, parallel=True)
-        assert session._use_pool(True, 1) is True
+        assert pool.can_run(small_graph.snapshot()) is True
         before = small_graph.version
         small_graph.remove_link(*next(small_graph.iter_links())[:2])
-        self._poison(monkeypatch, small_graph)
         assert small_graph.version != before
-        assert session._use_pool(True, 1) is False
+        assert pool.can_run(self._Unpicklable(small_graph.version)) is False
 
-    def test_same_version_probe_is_memoized(self, small_graph, monkeypatch):
-        import pickle as pickle_module
+    def test_same_version_probe_is_memoized(
+        self, small_graph, pool, monkeypatch
+    ):
+        import pickle
 
-        import repro.session as session_module
-
-        monkeypatch.setattr(
-            session_module, "shared_memory_available", lambda: False
-        )
-        session = SimulationSession(small_graph, parallel=True)
         probes = []
-        real_dumps = pickle_module.dumps
+        real_dumps = pickle.dumps
 
         def counting_dumps(obj, *args, **kwargs):
             probes.append(obj)
             return real_dumps(obj, *args, **kwargs)
 
-        monkeypatch.setattr(session_module.pickle, "dumps", counting_dumps)
-        session._use_pool(True, 1)
-        session._use_pool(True, 1)
+        monkeypatch.setattr("repro.session.pool.pickle.dumps", counting_dumps)
+        snapshot = small_graph.snapshot()
+        pool.can_run(snapshot)
+        pool.can_run(snapshot)
         assert len(probes) == 1

@@ -13,11 +13,8 @@ import time
 
 import pytest
 
-from repro.session import (
-    _CACHE_EVENTS,
-    SessionCore,
-    SimulationSession,
-)
+from repro.session import SessionCore, SimulationSession
+from repro.session.cache import _CACHE_EVENTS
 from repro.topology import generate_topology, SMALL, TINY
 from repro.topology.delta import TopologyDelta
 from repro.topology.snapshot import (
@@ -275,10 +272,8 @@ class TestCloseUnderLoad:
         unlinked_before = unlinked.value
         graph = generate_topology(SMALL, seed=42)
         session = SimulationSession(graph, parallel=True, max_workers=2)
-        started = threading.Event()
 
         def fanout():
-            started.set()
             try:
                 session.compute_many(graph.ases[:24])
             except Exception:
@@ -286,7 +281,16 @@ class TestCloseUnderLoad:
 
         thread = threading.Thread(target=fanout, name="race-fan")
         thread.start()
-        started.wait(JOIN_TIMEOUT)
+        # close once the fan-out has published its snapshot, so close()
+        # races jobs in flight — not a fan-out that has yet to reach the
+        # pool, which would legitimately republish after the close
+        deadline = time.monotonic() + JOIN_TIMEOUT
+        while (
+            published.value == published_before
+            and thread.is_alive()
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.001)
         session.close()
         thread.join(timeout=JOIN_TIMEOUT)
         assert not thread.is_alive()
