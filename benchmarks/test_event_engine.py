@@ -1,23 +1,17 @@
-"""Event-engine throughput and round-vs-event equivalence cost.
+"""Event-engine throughput.
 
-Two bars for the discrete-event substrate: the bare scheduler must
-sustain a healthy events/second rate (the churn experiments lean on
-it for thousands of timer and delta dispatches), and running the
-convergence simulator through the event engine in its synchronous
-compatibility mode must cost no more than a generous multiple of the
-plain round loop it replicates.  Both figures land in the unified bench
-trajectory via ``bench_report``.
+The bare discrete-event scheduler must sustain a healthy events/second
+rate: the churn experiments and every arrival-driven convergence run
+lean on it for thousands of timer and delta dispatches.  The figure
+lands in the unified bench trajectory via ``bench_report``.
 """
 
 import time
 
-from repro.convergence import GuidelineMode, fig_7_1_system, fig_7_2_system
-from repro.events import SYNCHRONOUS, EventScheduler
+from repro.events import EventScheduler
 
 N_EVENTS = 50_000
 MIN_EVENTS_PER_SECOND = 50_000  # conservative floor; ~10x headroom locally
-EQUIVALENCE_RATIO_BOUND = 25.0  # event overhead allowance vs. round loop
-N_EQUIVALENCE_RUNS = 50
 
 
 def test_scheduler_throughput(benchmark, bench_report):
@@ -40,37 +34,3 @@ def test_scheduler_throughput(benchmark, bench_report):
                         better="higher", gate=True)
 
     assert events_per_second >= MIN_EVENTS_PER_SECOND
-
-
-def test_round_event_equivalence_cost(benchmark, bench_report):
-    systems = [
-        (factory, mode)
-        for factory in (fig_7_1_system, fig_7_2_system)
-        for mode in GuidelineMode
-    ]
-
-    def sweep():
-        round_seconds = event_seconds = 0.0
-        for _ in range(N_EQUIVALENCE_RUNS):
-            for factory, mode in systems:
-                start = time.perf_counter()
-                round_result = factory(mode).run()
-                round_seconds += time.perf_counter() - start
-                start = time.perf_counter()
-                event_result = factory(mode).run_events(delays=SYNCHRONOUS)
-                event_seconds += time.perf_counter() - start
-                assert event_result.final_state == round_result.final_state
-        return round_seconds, event_seconds
-
-    round_seconds, event_seconds = benchmark.pedantic(
-        sweep, rounds=1, iterations=1
-    )
-    ratio = event_seconds / round_seconds if round_seconds else 0.0
-
-    bench_report.record("round_seconds", round_seconds, "seconds")
-    bench_report.record("event_seconds", event_seconds, "seconds")
-    bench_report.record("event_over_round_ratio", ratio, "x")
-
-    # the event engine replays the same sweeps through a heap; allow a
-    # generous constant factor but catch pathological regressions
-    assert event_seconds <= round_seconds * EQUIVALENCE_RATIO_BOUND

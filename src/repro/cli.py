@@ -10,9 +10,9 @@ Twelve subcommands::
     repro failure-sweep  measure BGP vs MIRO recovery from sampled failures
     repro verify         fault-injection campaigns cross-checking every
                          route-computation path and routing invariant
-    repro converge       run Ch. 7 convergence on fair rounds or the
-                         discrete-event engine (delays, MRAI, jitter),
-                         cross-checking round/event equivalence
+    repro converge       run Ch. 7 convergence: fair rounds under zero
+                         delays, the discrete-event engine under
+                         delays, MRAI and jitter
     repro churn          seeded churn scenarios (flap storms, rolling
                          deployment, negotiation races) on the event engine
     repro stats          run a small instrumented workload and export the
@@ -21,9 +21,8 @@ Twelve subcommands::
                          negotiations, stats) as JSON lines over TCP
     repro loadgen        drive the query service with a seeded Zipf /
                          open-loop workload, in-process or over TCP
-    repro bench          run the canonical benchmark suites into one
-                         BENCH_<sha>.json trajectory, or compare two
-                         trajectories and fail on hot-path regressions
+    repro bench          compare two BENCH_<sha>.json trajectories and
+                         fail on hot-path regressions
 
 Every command takes ``--profile``/``--seed`` (or ``--topology FILE`` to
 load a CAIDA-format dump) so runs are reproducible, plus the
@@ -412,56 +411,27 @@ def _add_delay_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_converge(args: argparse.Namespace) -> int:
-    """Ch. 7 convergence on rounds or the event engine (``repro converge``)."""
-    from .convergence import (
-        GuidelineMode,
-        crosscheck_round_equivalence,
-        fig_7_1_system,
-        fig_7_2_system,
-    )
+    """Ch. 7 convergence on the counterexamples (``repro converge``)."""
+    from .convergence import GuidelineMode, fig_7_1_system, fig_7_2_system
 
     factory = {"7.1": fig_7_1_system, "7.2": fig_7_2_system}[args.figure]
     modes = (
         list(GuidelineMode) if args.mode == "all" else [_mode_from(args.mode)]
     )
     delays = _delays_from(args)
-    failures = 0
     for mode in modes:
-        if args.crosscheck:
-            if not delays.is_synchronous:
-                raise ReproError(
-                    "--crosscheck needs the synchronous (all-zero) delay "
-                    "model: round mode has no notion of delays"
-                )
-            try:
-                result = crosscheck_round_equivalence(
-                    lambda m=mode: factory(m), max_rounds=args.max_rounds,
-                    seed=args.run_seed,
-                )
-                verdict = "round/event states identical"
-            except ReproError as exc:
-                failures += 1
-                print(f"fig {args.figure} {mode.value:>12}: DIVERGED — {exc}")
-                continue
-        elif args.engine == "events":
-            result = factory(mode).run_events(
-                delays=delays, max_rounds=args.max_rounds, seed=args.run_seed,
-            )
-            verdict = f"sim_time={result.sim_time:g} " \
-                      f"activations={result.activations}"
-        else:
-            result = factory(mode).run(
-                max_rounds=args.max_rounds, seed=args.run_seed,
-            )
-            verdict = ""
+        result = factory(mode).run(
+            max_rounds=args.max_rounds, seed=args.run_seed, delays=delays,
+        )
         state = (
             "converged" if result.converged
             else "OSCILLATES" if result.oscillating
             else "exhausted"
         )
         print(f"fig {args.figure} {mode.value:>12}: {state} "
-              f"({result.rounds} rounds) {verdict}".rstrip())
-    return 1 if failures else 0
+              f"({result.rounds} rounds) sim_time={result.sim_time:g} "
+              f"activations={result.activations}")
+    return 0
 
 
 def _cmd_churn(args: argparse.Namespace) -> int:
@@ -579,34 +549,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         print(f"wrote {args.format} metrics snapshot to {args.out}")
     else:
         print(payload)
-    return 0
-
-
-def _cmd_bench_run(args: argparse.Namespace) -> int:
-    """Run the built-in benchmark suites into one ``BENCH_<sha>.json``."""
-    import time as _time
-
-    from .obs.bench import (
-        BENCH_SUITES,
-        BenchReporter,
-        detect_git_sha,
-        run_suites,
-    )
-
-    chosen = args.suite or ["all"]
-    suites = tuple(BENCH_SUITES) if "all" in chosen else tuple(chosen)
-    reporter = BenchReporter(
-        sha=args.sha or detect_git_sha(),
-        timestamp=_time.time(),
-        kernel=kernels.active().name,
-        echo=print,
-    )
-    run_suites(
-        reporter, suites=suites, profile=args.profile, seed=args.seed,
-        destinations=args.destinations,
-    )
-    path = reporter.write(args.out)
-    print(f"wrote {len(reporter.records)} records to {path}")
     return 0
 
 
@@ -842,8 +784,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     converge = sub.add_parser(
         "converge",
-        help="Ch. 7 convergence on fair rounds or the discrete-event "
-             "engine, with round/event equivalence cross-checking",
+        help="Ch. 7 convergence on the counterexamples: fair rounds under "
+             "zero delays, the discrete-event engine otherwise",
     )
     _add_obs_args(converge)
     _add_delay_args(converge)
@@ -853,12 +795,6 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=["unrestricted", "B", "C", "D", "E", "all"],
                           default="all",
                           help="guideline mode (default: all five)")
-    converge.add_argument("--engine", choices=["rounds", "events"],
-                          default="events",
-                          help="execution engine (default: events)")
-    converge.add_argument("--crosscheck", action="store_true",
-                          help="run both engines and verify byte-identical "
-                               "final states (synchronous delays only)")
     converge.add_argument("--max-rounds", type=int, default=200)
     converge.add_argument("--run-seed", type=int, default=None,
                           help="seed for activation shuffles and jitter")
@@ -959,31 +895,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the canonical benchmark suites / gate a trajectory "
-             "against a baseline",
+        help="gate a BENCH_<sha>.json trajectory against a baseline",
     )
     bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run",
-        help="run suites and write one BENCH_<sha>.json trajectory file",
-    )
-    _add_topology_args(bench_run, default_profile="verify-500")
-    _add_obs_args(bench_run)
-    _add_kernel_args(bench_run)
-    bench_run.add_argument(
-        "--suite", action="append",
-        choices=["kernel", "session", "events", "service", "all"],
-        help="suite to run (repeatable; default: all)",
-    )
-    bench_run.add_argument("--destinations", type=int, default=64,
-                           help="destinations per workload (default 64)")
-    bench_run.add_argument("--out", default=".",
-                           help="directory for BENCH_<sha>.json (default .)")
-    bench_run.add_argument("--sha", default=None,
-                           help="override the git sha recorded in the file "
-                                "(default: $REPRO_BENCH_SHA or git HEAD)")
-    bench_run.set_defaults(func=_cmd_bench_run)
 
     bench_compare = bench_sub.add_parser(
         "compare",

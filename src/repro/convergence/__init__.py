@@ -1,16 +1,12 @@
 """Convergence model and simulator for MIRO (Ch. 7): guideline modes,
-activation sequences, oscillation detection, and the counterexamples —
-runnable as classic fair rounds (:meth:`MiroConvergenceSystem.run`) or
-on the discrete-event engine (:meth:`MiroConvergenceSystem.run_events`,
-:mod:`repro.convergence.eventsim`) with delays, MRAI timers, and
-topology churn."""
+activation sequences, oscillation detection, and the counterexamples.
+One entry point, :meth:`MiroConvergenceSystem.run`: classic fair rounds
+under synchronous delays, the discrete-event engine
+(:mod:`repro.convergence.eventsim`) under any delay model that separates
+event timestamps — propagation delays, MRAI timers, jitter — plus
+:func:`run_churn` for timestamped topology churn."""
 
-from .eventsim import (
-    ChurnResult,
-    crosscheck_round_equivalence,
-    run_churn,
-    run_on_events,
-)
+from .eventsim import ChurnResult, run_churn
 from .examples import (
     bad_gadget_bgp_system,
     fig_7_1_graph,
@@ -60,7 +56,5 @@ __all__ = [
     "fig_7_2_system",
     "bad_gadget_bgp_system",
     "ChurnResult",
-    "run_on_events",
     "run_churn",
-    "crosscheck_round_equivalence",
 ]

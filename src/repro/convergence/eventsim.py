@@ -1,32 +1,18 @@
-"""Event-driven execution of the MIRO convergence model.
+"""Arrival-driven execution of the MIRO convergence model.
 
 This module puts :class:`~repro.convergence.simulator.MiroConvergenceSystem`
-on the :mod:`repro.events` scheduler.  Activations stop being entries in
-a fair-round for-loop and become *events*: an AS re-runs route selection
-because a neighbour's advertisement arrived (after the link's
-propagation delay), because a MIRO responder's offer changed (after a
-negotiation handshake delay), or because its own MRAI timer finally
-allows a pending re-advertisement.
+on the :mod:`repro.events` scheduler whenever the run's
+:class:`~repro.events.timers.DelayModel` can separate event timestamps
+(any non-zero delay, jitter, per-link or per-AS override — or injected
+topology churn).  :meth:`MiroConvergenceSystem.run` routes such runs
+here; under synchronous delays it runs its own fair-round loop instead.
 
-Two regimes share one entry point (:func:`run_on_events`):
-
-**Synchronous degenerate regime.**  When the
-:class:`~repro.events.timers.DelayModel` is synchronous (zero delays and
-jitter, one uniform MRAI) nothing can separate any two ASes' event
-timestamps: every advertisement lands at the instant it is sent and all
-pending activations collapse onto one tick.  The event schedule is then
-*exactly* the classic fair round — wave ``k`` activates every AS at
-``t = k * mrai`` — so the driver schedules full sweep events through the
-heap and reproduces the round-based :meth:`run` activation order
-verbatim, including its fingerprint-based cycle detection.  This is the
-compatibility mode: on delay-free schedules ``run_events`` must reach a
-``final_state`` byte-identical to ``run``'s, and
-:func:`crosscheck_round_equivalence` is the standing oracle (in the
-spirit of :mod:`repro.verify`) asserting it.
-
-**Asynchronous regime.**  With any non-zero delay, jitter, per-link or
-per-AS override — or with injected topology churn — activations are
-arrival-driven.  A changed AS notifies its graph neighbours after the
+Activations stop being entries in a fair-round for-loop and become
+*events*: an AS re-runs route selection because a neighbour's
+advertisement arrived (after the link's propagation delay), because a
+MIRO responder's offer changed (after a negotiation handshake delay),
+or because its own MRAI timer finally allows a pending
+re-advertisement.  A changed AS notifies its graph neighbours after the
 per-link delay, the requesters of MIRO demands it responds to after the
 negotiation delay, and itself (its own selection feeds its own tunnel
 via-paths) after its MRAI.  Activation requests coalesce to at most one
@@ -35,10 +21,10 @@ activation reads the live global state, so one activation at the
 earliest pending instant covers every later arrival of the same wave);
 the per-AS :class:`~repro.events.timers.MraiTimer` rate-limits firing.
 The run is quiescent when the heap drains; an activation budget
-(``max_rounds`` worth of fair rounds) and an optional raw ``max_events``
-cap guard divergent gadgets, which never quiesce.
+(``max_rounds`` worth of fair rounds) guards divergent gadgets, which
+never quiesce.
 
-:func:`run_churn` extends the asynchronous regime with timestamped
+:func:`run_churn` adds timestamped
 :class:`~repro.topology.delta.TopologyDelta` injections through the
 existing :meth:`~MiroConvergenceSystem.apply_event` transactional path —
 the substrate for the flap-storm / rolling-deployment / negotiation-race
@@ -52,7 +38,6 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConvergenceError
 from ..events.engine import Event, EventScheduler
 from ..events.timers import SYNCHRONOUS, DelayModel, MraiTimer
 from ..obs import get_logger, get_registry
@@ -60,7 +45,6 @@ from ..topology.delta import AppliedDelta, TimedDelta
 from .model import Selection
 from .simulator import (
     _ACTIVATIONS_TOTAL,
-    _ROUNDS_TOTAL,
     ConvergenceResult,
     MiroConvergenceSystem,
 )
@@ -72,8 +56,7 @@ _INJECTIONS_TOTAL = get_registry().counter(
 )
 
 #: Event kinds of the convergence driver's vocabulary.
-KIND_SWEEP = "sweep"          # synchronous regime: one full fair round
-KIND_ACTIVATE = "activate"    # asynchronous regime: one AS activation
+KIND_ACTIVATE = "activate"    # one AS activation
 KIND_DELTA = "delta"          # churn: apply one topology delta
 
 
@@ -110,27 +93,19 @@ class _EventRun:
         delays: DelayModel,
         max_rounds: int,
         rng: Optional[Random],
-        max_events: Optional[int],
     ) -> None:
         self.system = system
         self.delays = delays
-        self.max_rounds = max_rounds
         self.rng = rng
         self.scheduler = EventScheduler()
         self.activations = 0
         #: fair-round-equivalent activation budget
         self.budget = max_rounds * max(1, len(system.graph.ases))
-        self.max_events = max_events
-        # asynchronous-regime state
         self.timers: Dict[int, MraiTimer] = {
             asn: MraiTimer(delays.mrai_for(asn))
             for asn in system.graph.ases
         }
         self.pending: Dict[int, float] = {}
-        # synchronous-regime state
-        self.sweep_result: Optional[ConvergenceResult] = None
-        self._sweep_index = 0
-        self._seen: Dict[Tuple, int] = {}
         # watchers[responder] = requesters whose tunnel offers it feeds
         self.watchers: Dict[int, List[int]] = {}
         for demand in system.demands:
@@ -139,66 +114,8 @@ class _EventRun:
                 requesters.append(demand.requester)
         for requesters in self.watchers.values():
             requesters.sort()
-        self.scheduler.register(KIND_SWEEP, self._on_sweep)
         self.scheduler.register(KIND_ACTIVATE, self._on_activate)
 
-    # ------------------------------------------------------------------
-    # synchronous degenerate regime: fair-round sweeps through the heap
-    # ------------------------------------------------------------------
-    def start_synchronous(self) -> None:
-        self.scheduler.schedule(0.0, KIND_SWEEP)
-
-    def _on_sweep(self, event: Event) -> None:
-        """One fair round, replicating ``_run_rounds`` move for move."""
-        system = self.system
-        ases = system.graph.ases
-        if self.rng is not None:
-            order = ases[:]
-            self.rng.shuffle(order)
-        else:
-            order = ases
-        changed = False
-        for asn in order:
-            if system.activate(asn):
-                changed = True
-        _ROUNDS_TOTAL.inc()
-        _ACTIVATIONS_TOTAL.inc(len(order))
-        self.activations += len(order)
-        round_index = self._sweep_index
-        self._sweep_index += 1
-        if not changed:
-            self.sweep_result = ConvergenceResult(
-                True, round_index + 1, False, dict(system.effective),
-                sim_time=event.time, activations=self.activations,
-            )
-            return
-        if self.rng is None:
-            mark = system.fingerprint()
-            if mark in self._seen:
-                self.sweep_result = ConvergenceResult(
-                    False, round_index + 1, True, dict(system.effective),
-                    sim_time=event.time, activations=self.activations,
-                )
-                return
-            self._seen[mark] = round_index
-        if self._sweep_index < self.max_rounds:
-            self.scheduler.schedule(
-                event.time + self.delays.mrai, KIND_SWEEP
-            )
-
-    def run_synchronous(self) -> ConvergenceResult:
-        self.start_synchronous()
-        self.scheduler.run(max_events=self.max_events)
-        if self.sweep_result is not None:
-            return self.sweep_result
-        return ConvergenceResult(
-            False, self.max_rounds, False, dict(self.system.effective),
-            sim_time=self.scheduler.now, activations=self.activations,
-        )
-
-    # ------------------------------------------------------------------
-    # asynchronous regime: arrival-driven activations
-    # ------------------------------------------------------------------
     def request_activation(self, asn: int, arrival: float) -> None:
         """Ask for ``asn`` to re-run selection once news lands at ``arrival``.
 
@@ -250,50 +167,39 @@ class _EventRun:
         for asn in self.system.graph.ases:
             self.request_activation(asn, self.delays.initial_offset(self.rng))
 
-    def drain(self) -> bool:
-        """Dispatch until quiescent or a budget trips; True if drained."""
+    def drain(self, on_event: Optional[Callable[[Event], None]] = None) -> bool:
+        """Dispatch until quiescent or the activation budget trips; True
+        if drained.  ``on_event`` sees every event after its dispatch."""
         while self.scheduler.pending:
             if self.activations >= self.budget:
                 return False
-            if (
-                self.max_events is not None
-                and self.scheduler.dispatched >= self.max_events
-            ):
-                return False
-            self.scheduler.step()
+            event = self.scheduler.step()
+            if on_event is not None:
+                on_event(event)
         return True
 
-    def run_asynchronous(self) -> ConvergenceResult:
-        self.seed_initial_activations()
-        quiescent = self.drain()
-        ases = max(1, len(self.system.graph.ases))
-        rounds = max(1, math.ceil(self.activations / ases))
-        return ConvergenceResult(
-            quiescent, rounds, False, dict(self.system.effective),
-            sim_time=self.scheduler.now, activations=self.activations,
-        )
 
-
-def run_on_events(
+def run_asynchronous(
     system: MiroConvergenceSystem,
-    delays: Optional[DelayModel] = None,
-    max_rounds: int = 200,
-    rng: Optional[Random] = None,
-    max_events: Optional[int] = None,
+    delays: DelayModel,
+    max_rounds: int,
+    rng: Optional[Random],
 ) -> ConvergenceResult:
-    """Execute one convergence run on the event engine.
+    """One arrival-driven convergence run (see the module docstring).
 
-    Called through :meth:`MiroConvergenceSystem.run_events` (which owns
-    the tracing span and outcome metrics).  Chooses the synchronous
-    degenerate regime exactly when the delay model cannot separate any
-    two event timestamps (see module docstring).
+    Called through :meth:`MiroConvergenceSystem.run`, which owns the
+    tracing span and outcome metrics.
     """
-    delays = delays if delays is not None else SYNCHRONOUS
-    run = _EventRun(system, delays, max_rounds, rng, max_events)
+    run = _EventRun(system, delays, max_rounds, rng)
     with run.scheduler.sim_span("convergence"):
-        if delays.is_synchronous:
-            return run.run_synchronous()
-        return run.run_asynchronous()
+        run.seed_initial_activations()
+        quiescent = run.drain()
+    ases = max(1, len(system.graph.ases))
+    rounds = max(1, math.ceil(run.activations / ases))
+    return ConvergenceResult(
+        quiescent, rounds, False, dict(system.effective),
+        sim_time=run.scheduler.now, activations=run.activations,
+    )
 
 
 def run_churn(
@@ -302,22 +208,20 @@ def run_churn(
     delays: Optional[DelayModel] = None,
     max_rounds: int = 200,
     rng: Optional[Random] = None,
-    max_events: Optional[int] = None,
-    settle_first: bool = True,
 ) -> ChurnResult:
     """Drive a timestamped churn scenario through the event engine.
 
-    The system first converges undisturbed (``settle_first``); then each
+    The system starts converging undisturbed; each
     :class:`~repro.topology.delta.TimedDelta` fires at its timestamp via
     :meth:`~MiroConvergenceSystem.apply_event` — selections crossing a
     failed link are withdrawn transactionally — and the ASes the delta
     touched are activated, kicking off re-convergence while later
-    injections are still pending.  Always runs the asynchronous regime
-    (churn separates event timestamps even under zero delays).
+    injections are still pending.  Always arrival-driven (churn
+    separates event timestamps even under zero delays).
     """
     delays = delays if delays is not None else SYNCHRONOUS
     ordered = sorted(injections, key=lambda timed: timed.time)
-    run = _EventRun(system, delays, max_rounds, rng, max_events)
+    run = _EventRun(system, delays, max_rounds, rng)
     applied: List[AppliedDelta] = []
     quiesced_after: Dict[int, float] = {}
     in_flight: List[int] = []
@@ -348,28 +252,21 @@ def run_churn(
         for asn in sorted(dirty):
             run.request_activation(asn, event.time)
 
+    def on_event(event: Event) -> None:
+        if in_flight and not run.pending:
+            # no activation is pending anywhere (the heap may still hold
+            # future injections or superseded stale events): every
+            # in-flight injection has been absorbed
+            for index in in_flight:
+                quiesced_after[index] = event.time - ordered[index].time
+            in_flight.clear()
+
     run.scheduler.register(KIND_DELTA, on_delta)
     with run.scheduler.sim_span("churn"):
-        if settle_first:
-            run.seed_initial_activations()
+        run.seed_initial_activations()
         for index, timed in enumerate(ordered):
             run.scheduler.schedule(timed.time, KIND_DELTA, (index, timed.delta))
-        quiescent = True
-        while run.scheduler.pending:
-            if run.activations >= run.budget or (
-                run.max_events is not None
-                and run.scheduler.dispatched >= run.max_events
-            ):
-                quiescent = False
-                break
-            event = run.scheduler.step()
-            if in_flight and not run.pending:
-                # no activation is pending anywhere (the heap may still
-                # hold future injections or superseded stale events):
-                # every in-flight injection has been absorbed
-                for index in in_flight:
-                    quiesced_after[index] = event.time - ordered[index].time
-                in_flight.clear()
+        quiescent = run.drain(on_event)
     recovery = tuple(sorted(quiesced_after.items()))
     return ChurnResult(
         converged=quiescent,
@@ -381,49 +278,3 @@ def run_churn(
         applied=tuple(applied),
         recovery_times=recovery,
     )
-
-
-def crosscheck_round_equivalence(
-    make_system: Callable[[], MiroConvergenceSystem],
-    max_rounds: int = 200,
-    seed: Optional[int] = None,
-) -> ConvergenceResult:
-    """The round/event equivalence oracle (in the spirit of ``repro.verify``).
-
-    Builds two fresh systems from ``make_system``, runs one on fair
-    rounds and one on the event engine under the synchronous delay
-    model, and raises :class:`~repro.errors.ConvergenceError` unless the
-    two reach identical ``final_state`` (and agree on rounds, outcome,
-    and oscillation).  Returns the event-mode result on success.
-    """
-    round_result = make_system().run(max_rounds=max_rounds, seed=seed)
-    event_result = make_system().run_events(
-        delays=SYNCHRONOUS, max_rounds=max_rounds, seed=seed
-    )
-    if event_result.final_state != round_result.final_state:
-        keys = set(round_result.final_state) | set(event_result.final_state)
-        sentinel = object()
-        diff = sorted(
-            key for key in keys
-            if round_result.final_state.get(key, sentinel)
-            != event_result.final_state.get(key, sentinel)
-        )
-        raise ConvergenceError(
-            f"event-mode final_state diverges from round mode at "
-            f"{len(diff)} (asn, dest) entries; first: {diff[:3]}"
-        )
-    if (
-        round_result.converged,
-        round_result.rounds,
-        round_result.oscillating,
-    ) != (
-        event_result.converged,
-        event_result.rounds,
-        event_result.oscillating,
-    ):
-        raise ConvergenceError(
-            "event-mode outcome diverges from round mode: "
-            f"round={round_result.converged, round_result.rounds, round_result.oscillating} "
-            f"event={event_result.converged, event_result.rounds, event_result.oscillating}"
-        )
-    return event_result

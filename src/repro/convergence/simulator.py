@@ -30,24 +30,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
 
 from ..errors import ConvergenceError
+from ..events.timers import SYNCHRONOUS, DelayModel
 from ..obs import get_logger, get_registry, get_tracer
 from ..topology.delta import AppliedDelta, TopologyDelta
 from ..topology.graph import ASGraph, link_key
 from ..topology.relationships import Relationship
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycle)
-    from ..events.timers import DelayModel
 
 # ----------------------------------------------------------------------
 # instrumentation (repro.obs): activation and round totals make the §7
@@ -82,13 +80,13 @@ from .model import (
 
 @dataclass(frozen=True, slots=True)
 class ConvergenceResult:
-    """Outcome of one simulation run.
+    """Outcome of one simulation run (:meth:`MiroConvergenceSystem.run`).
 
-    Round-mode runs leave the event-mode fields at their defaults;
-    event-mode runs (:meth:`MiroConvergenceSystem.run_events`) report
-    the simulated clock at quiescence and the number of AS activations
-    executed (their "rounds" is the activation count divided by the AS
-    count, rounded up — a comparable work measure, not a literal round).
+    Every run reports the simulated clock at its end and the number of
+    AS activations executed.  Synchronous runs count literal fair rounds
+    (round ``k`` runs at ``k * mrai``); arrival-driven runs report the
+    activation count divided by the AS count, rounded up, as "rounds" —
+    a comparable work measure, not a literal round.
     """
 
     converged: bool
@@ -96,10 +94,9 @@ class ConvergenceResult:
     oscillating: bool
     #: effective selection per (asn, destination) at the end of the run
     final_state: Dict[Tuple[int, int], Optional[Selection]]
-    #: simulated clock when the run went quiescent (event mode only)
+    #: simulated clock when the run ended
     sim_time: float = 0.0
-    #: AS activations executed (event mode only; round mode reports 0
-    #: here and counts through the activation metrics instead)
+    #: AS activations executed
     activations: int = 0
 
     def selection(self, asn: int, destination: int) -> Optional[Selection]:
@@ -394,67 +391,48 @@ class MiroConvergenceSystem:
         max_rounds: int = 200,
         seed: Optional[int] = None,
         schedule: Optional[Sequence[Sequence[int]]] = None,
+        delays: Optional[DelayModel] = None,
     ) -> ConvergenceResult:
-        """Run fair activation rounds until stable or the budget runs out.
+        """Run until stable or the activation budget runs out.
 
-        Each round activates every AS once.  With ``seed`` the per-round
-        order is shuffled (a random fair sequence); with ``schedule`` the
-        given round orders are used (then repeated round-robin); otherwise
-        ascending AS order is used.  Under a deterministic schedule a
-        repeated state fingerprint proves a cycle, reported as
-        ``oscillating=True``.
+        Under synchronous ``delays`` (the default,
+        :data:`~repro.events.timers.SYNCHRONOUS`) the run is fair
+        activation rounds: each round activates every AS once, round
+        ``k`` at simulated time ``k * delays.mrai``.  With ``seed`` the
+        per-round order is shuffled (a random fair sequence); with
+        ``schedule`` the given round orders are used (then repeated
+        round-robin); otherwise ascending AS order is used.  Under a
+        deterministic schedule a repeated state fingerprint proves a
+        cycle, reported as ``oscillating=True``.
+
+        Any other delay model runs arrival-driven on the discrete-event
+        engine (:mod:`repro.convergence.eventsim`): an AS activates when
+        a neighbour's advertisement arrives after the per-link delay,
+        rate-limited by its MRAI timer, with jitter drawn from the same
+        ``Random`` stream ``seed`` gives the shuffles.  ``max_rounds``
+        bounds the equivalent activation budget there.  An explicit
+        ``schedule`` needs synchronous delays.
         """
+        delays = SYNCHRONOUS if delays is None else delays
+        synchronous = delays.is_synchronous
+        if schedule is not None and not synchronous:
+            raise ConvergenceError(
+                "an explicit activation schedule needs synchronous delays"
+            )
         mode = self.mode.value if self.mode is not None else "mixed"
-        # one explicit random stream per run: every shuffle (and, in event
-        # mode, every jitter draw) comes from this Random, so a seed fully
-        # determines the activation sequence
+        # one explicit random stream per run: every shuffle and every
+        # jitter draw comes from this Random, so a seed fully determines
+        # the activation sequence
         rng = Random(seed) if seed is not None else None
         with _TRACER.span("convergence_run", mode=mode,
                           ases=len(self.graph)) as span:
-            result = self._run_rounds(max_rounds, rng, schedule)
-            outcome = (
-                "converged" if result.converged
-                else "oscillating" if result.oscillating
-                else "exhausted"
-            )
-            span.set(outcome=outcome, rounds=result.rounds)
-        _RUNS_TOTAL.labels(outcome=outcome).inc()
-        if not result.converged:
-            _LOG.info("convergence_run_unstable", mode=mode, outcome=outcome,
-                      rounds=result.rounds)
-        return result
+            if synchronous:
+                result = self._run_rounds(max_rounds, rng, schedule,
+                                          delays.mrai)
+            else:
+                from .eventsim import run_asynchronous  # avoids import cycle
 
-    def run_events(
-        self,
-        delays: Optional["DelayModel"] = None,
-        max_rounds: int = 200,
-        seed: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> ConvergenceResult:
-        """Run on the discrete-event engine (:mod:`repro.events`).
-
-        ``delays`` is the run's :class:`~repro.events.timers.DelayModel`
-        (default: the zero-delay synchronous model, under which this
-        method reaches the exact ``final_state`` of :meth:`run` — the
-        equivalence the ``repro.verify``-style oracle asserts).  With
-        real delays, AS activations become events triggered by neighbour
-        advertisements after per-link propagation delays, rate-limited
-        by per-AS MRAI timers, with seeded jitter drawn from the same
-        ``Random`` stream a ``seed`` gives :meth:`run`.  ``max_rounds``
-        bounds the equivalent activation budget; ``max_events`` caps raw
-        scheduler dispatches (livelock guard, e.g. ``mrai=0`` on a
-        divergent gadget).
-        """
-        from .eventsim import run_on_events  # local: avoids import cycle
-
-        mode = self.mode.value if self.mode is not None else "mixed"
-        rng = Random(seed) if seed is not None else None
-        with _TRACER.span("convergence_run_events", mode=mode,
-                          ases=len(self.graph)) as span:
-            result = run_on_events(
-                self, delays=delays, max_rounds=max_rounds, rng=rng,
-                max_events=max_events,
-            )
+                result = run_asynchronous(self, delays, max_rounds, rng)
             outcome = (
                 "converged" if result.converged
                 else "oscillating" if result.oscillating
@@ -465,7 +443,7 @@ class MiroConvergenceSystem:
         _RUNS_TOTAL.labels(outcome=outcome).inc()
         if not result.converged:
             _LOG.info("convergence_run_unstable", mode=mode, outcome=outcome,
-                      rounds=result.rounds, engine="events")
+                      rounds=result.rounds)
         return result
 
     def _run_rounds(
@@ -473,13 +451,16 @@ class MiroConvergenceSystem:
         max_rounds: int,
         rng: Optional[Random],
         schedule: Optional[Sequence[Sequence[int]]],
+        mrai: float,
     ) -> ConvergenceResult:
         ases = self.graph.ases
-        seen: Dict[Tuple, int] = {}
-        deterministic = rng is None
-        for round_index in range(max_rounds):
+        seen: Set[Tuple] = set()
+        deterministic = rng is None and schedule is None
+        converged = oscillating = False
+        rounds = activations = 0
+        while rounds < max_rounds:
             if schedule is not None:
-                order = list(schedule[round_index % len(schedule)])
+                order = list(schedule[rounds % len(schedule)])
             elif rng is not None:
                 order = ases[:]
                 rng.shuffle(order)
@@ -489,20 +470,23 @@ class MiroConvergenceSystem:
             for asn in order:
                 if self.activate(asn):
                     changed = True
+            rounds += 1
+            activations += len(order)
             _ROUNDS_TOTAL.inc()
             _ACTIVATIONS_TOTAL.inc(len(order))
             if not changed:
-                return ConvergenceResult(
-                    True, round_index + 1, False, dict(self.effective)
-                )
-            if deterministic and schedule is None:
+                converged = True
+                break
+            if deterministic:
                 mark = self.fingerprint()
                 if mark in seen:
-                    return ConvergenceResult(
-                        False, round_index + 1, True, dict(self.effective)
-                    )
-                seen[mark] = round_index
-        return ConvergenceResult(False, max_rounds, False, dict(self.effective))
+                    oscillating = True
+                    break
+                seen.add(mark)
+        return ConvergenceResult(
+            converged, rounds, oscillating, dict(self.effective),
+            sim_time=max(rounds - 1, 0) * mrai, activations=activations,
+        )
 
 
 def proof_schedule(graph: ASGraph) -> List[List[int]]:

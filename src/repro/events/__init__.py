@@ -6,10 +6,12 @@ tie-break, kind-based callback registration, and simulated-clock spans
 convergence simulator runs on — MRAI timers, per-link propagation
 delays, jittered activations (:mod:`repro.events.timers`).
 
-The convergence package drives this engine
-(:meth:`repro.convergence.MiroConvergenceSystem.run_events`); the churn
-experiments (:mod:`repro.experiments.churn`) inject timestamped
-:class:`~repro.topology.delta.TopologyDelta` sequences through it.
+The convergence package drives this engine whenever a run's delay model
+separates event timestamps
+(:meth:`repro.convergence.MiroConvergenceSystem.run` with non-synchronous
+``delays``); the churn experiments (:mod:`repro.experiments.churn`)
+inject timestamped :class:`~repro.topology.delta.TopologyDelta`
+sequences through it.
 """
 
 from .engine import Event, EventScheduler

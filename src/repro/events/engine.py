@@ -29,6 +29,7 @@ run's event mix is a live metrics query.
 from __future__ import annotations
 
 import heapq
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -96,10 +97,10 @@ class EventScheduler:
     """A deterministic heap of timestamped events with kind callbacks.
 
     The simulated clock (:attr:`now`) only moves when events dispatch,
-    and only forward.  Scheduling into the past raises
-    :class:`~repro.errors.EventError`; scheduling *at* the current
-    instant is legal (the event dispatches after everything already
-    pending at that instant, by its larger ``seq``).
+    and only forward.  Scheduling into the past or at a non-finite time
+    raises :class:`~repro.errors.EventError`; scheduling *at* the
+    current instant is legal (the event dispatches after everything
+    already pending at that instant, by its larger ``seq``).
     """
 
     def __init__(self) -> None:
@@ -144,11 +145,12 @@ class EventScheduler:
 
     def schedule(self, time: float, kind: str, payload: Any = None) -> Event:
         """Enqueue an event at absolute simulated ``time``."""
-        if time < self._now:
-            raise EventError(
-                f"cannot schedule {kind!r} at t={time}: the simulated "
-                f"clock is already at t={self._now}"
+        if not self._now <= time < math.inf:  # also rejects NaN
+            reason = (
+                f"the simulated clock is already at t={self._now}"
+                if time < self._now else "event times must be finite"
             )
+            raise EventError(f"cannot schedule {kind!r} at t={time}: {reason}")
         seq = self._seq
         self._seq += 1
         heapq.heappush(self._heap, (time, seq, kind, payload, self._now))

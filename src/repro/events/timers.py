@@ -18,12 +18,14 @@ driver:
 A model with every delay and jitter at zero and one uniform MRAI is
 *synchronous* (:attr:`DelayModel.is_synchronous`): nothing distinguishes
 any AS's timing, every advertisement lands instantly, and the
-discrete-event schedule degenerates to the classic fair rounds — which
-is exactly the configuration the round-mode equivalence oracle runs.
+discrete-event schedule degenerates to the classic fair rounds — so
+:meth:`repro.convergence.MiroConvergenceSystem.run` runs its fair-round
+loop instead of the event engine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from random import Random
 from typing import Dict, Optional, Tuple
@@ -51,6 +53,11 @@ class MraiTimer:
 
     def fire(self, now: float) -> None:
         self.last_fire = now
+
+
+def _check_delay(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise EventError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -89,8 +96,11 @@ class DelayModel:
     def __post_init__(self) -> None:
         for name in ("link_delay", "link_jitter", "negotiation_delay",
                      "mrai", "activation_jitter"):
-            if getattr(self, name) < 0:
-                raise EventError(f"{name} must be non-negative")
+            _check_delay(name, getattr(self, name))
+        for (a, b), delay in self.link_overrides:
+            _check_delay(f"link delay override {a}-{b}", delay)
+        for asn, mrai in self.mrai_overrides:
+            _check_delay(f"MRAI override for AS {asn}", mrai)
         self._link_map.update(
             (link_key(a, b), delay)
             for (a, b), delay in self.link_overrides
@@ -124,8 +134,8 @@ class DelayModel:
 
         True when no delay, jitter, or per-AS override can separate any
         two ASes' event timestamps — every activation wave lands at one
-        instant and the schedule is round-for-round the fair synchronous
-        one the compatibility-mode :meth:`run` executes.
+        instant, so a convergence run is round-for-round the fair
+        synchronous loop (round ``k`` at ``k * mrai``).
         """
         return (
             self.link_delay == 0.0
@@ -137,5 +147,6 @@ class DelayModel:
         )
 
 
-#: The zero-delay model the round-mode equivalence oracle runs under.
+#: The zero-delay model: the default of a convergence run, which then
+#: executes as classic fair rounds.
 SYNCHRONOUS = DelayModel()

@@ -9,23 +9,20 @@ all of that with one plane:
   value, unit)`` plus the context that makes trajectories comparable:
   topology name/size, the active kernel backend, the git sha and a
   timestamp.  The sha and timestamp are **injected** by the caller (the
-  pytest fixture, the CLI) rather than read ambiently here, so records
+  pytest fixture) rather than read ambiently here, so records
   are a pure function of their inputs and replays are deterministic;
 * a :class:`BenchReporter` collects records and writes the single
   ``BENCH_<sha>.json`` trajectory document; writing again for the same
-  sha merges by ``(suite, metric)`` — a pytest benchmark run and a
-  ``repro bench run`` append to the same file;
+  sha merges by ``(suite, metric)``, so every ``benchmarks/`` file of
+  one pytest run (and a second run, e.g. under another kernel) appends
+  to the same file;
 * :func:`compare` diffs two trajectory documents and reports every
   metric that moved beyond a threshold in its *bad* direction (each
   record declares whether lower or higher is better).  Records flagged
   ``gate=True`` are the designated hot-path metrics — settle phase
   time, pool ship bytes/seconds, event-engine throughput, warm-cache
   hit latency — and only those make the comparison fail, which is what
-  ``repro bench compare`` turns into a nonzero exit for CI;
-* :func:`run_suites` drives the built-in kernel / session / events /
-  service suites from the CLI (``repro bench run``); the service suite
-  is warn-only — it records the daemon's warm lookup throughput into
-  the trajectory without gating CI on event-loop jitter.
+  ``repro bench compare`` turns into a nonzero exit for CI.
 
 The schema is versioned (``repro-bench/1``); :func:`validate_document`
 rejects anything else before a comparison can silently mis-read it.
@@ -38,7 +35,7 @@ import os
 import subprocess
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import ObservabilityError
 
@@ -53,8 +50,6 @@ __all__ = [
     "load_trajectory",
     "validate_document",
     "compare",
-    "run_suites",
-    "BENCH_SUITES",
 ]
 
 #: Trajectory document schema identifier (bump on incompatible change).
@@ -420,187 +415,3 @@ def compare(
         f"{k[0]}.{k[1]}" for k in sorted(cur) if k not in base
     ]
     return report
-
-
-# ----------------------------------------------------------------------
-# built-in suites for `repro bench run`
-# ----------------------------------------------------------------------
-def _suite_kernel(
-    reporter: BenchReporter, profile: str, seed: int,
-    destinations: int, clock: Callable[[], float],
-) -> None:
-    """Settle-phase timings per kernel backend on one topology sweep."""
-    from ..bgp import kernels
-    from ..topology import generate_named
-
-    graph = generate_named(profile, seed=seed)
-    snapshot = graph.snapshot()
-    targets = list(graph.ases)[:destinations]
-    suite = reporter.suite("kernel")
-    for backend in kernels.backends(available_only=True):
-        kernels.settle(snapshot, targets[0], kernel=backend.name)  # warm
-        start = clock()
-        kernels.settle_many(snapshot, targets, kernel=backend.name)
-        elapsed = clock() - start
-        suite.record(
-            f"{backend.name}_settle_seconds", elapsed, "seconds",
-            gate=True, topology=profile, topology_size=len(graph),
-        )
-        suite.record(
-            f"{backend.name}_tables_per_second",
-            len(targets) / elapsed if elapsed else 0.0,
-            "tables/s", better="higher",
-            topology=profile, topology_size=len(graph),
-        )
-
-
-def _suite_session(
-    reporter: BenchReporter, profile: str, seed: int,
-    destinations: int, clock: Callable[[], float],
-) -> None:
-    """Cold/warm cache fan-out latency and the pool-ship payload."""
-    import pickle
-
-    from ..session import SimulationSession
-    from ..topology import generate_named
-
-    graph = generate_named(profile, seed=seed)
-    targets = list(graph.ases)[:destinations]
-    session = SimulationSession(
-        graph, parallel=False, max_cached_tables=max(len(targets), 16),
-    )
-    suite = reporter.suite("session")
-    start = clock()
-    session.compute_many(targets)
-    cold = clock() - start
-    start = clock()
-    session.compute_many(targets)
-    warm = clock() - start
-    suite.record(
-        "cold_fanout_seconds", cold, "seconds",
-        topology=profile, topology_size=len(graph),
-    )
-    suite.record(
-        "warm_hit_seconds", warm, "seconds", gate=True,
-        topology=profile, topology_size=len(graph),
-    )
-    snapshot = graph.snapshot()
-    start = clock()
-    payload = pickle.dumps(snapshot)
-    ship_seconds = clock() - start
-    suite.record(
-        "pool_ship_bytes", len(payload), "bytes", gate=True,
-        topology=profile, topology_size=len(graph),
-    )
-    suite.record(
-        "pool_ship_seconds", ship_seconds, "seconds", gate=True,
-        topology=profile, topology_size=len(graph),
-    )
-
-
-def _suite_events(
-    reporter: BenchReporter, profile: str, seed: int,
-    destinations: int, clock: Callable[[], float],
-) -> None:
-    """Bare discrete-event scheduler throughput."""
-    from ..events import EventScheduler
-
-    n_events = 20_000
-    scheduler = EventScheduler()
-    scheduler.register("tick", lambda event: None)
-    for index in range(n_events):
-        scheduler.schedule(float(index), "tick")
-    start = clock()
-    dispatched = scheduler.run()
-    elapsed = clock() - start
-    suite = reporter.suite("events")
-    suite.record(
-        "scheduler_events_per_second",
-        dispatched / elapsed if elapsed else 0.0,
-        "events/s", better="higher", gate=True,
-    )
-    suite.record("scheduler_dispatch_seconds", elapsed, "seconds")
-
-
-def _suite_service(
-    reporter: BenchReporter, profile: str, seed: int,
-    destinations: int, clock: Callable[[], float],
-) -> None:
-    """Warm lookup throughput through the asyncio daemon's admission.
-
-    Warn-only (no ``gate=True``): service latency rides on thread
-    scheduling and event-loop jitter, so it lands in the trajectory for
-    trend-watching without failing CI on a noisy run.  The hard 10k/s
-    acceptance bar lives in ``benchmarks/test_service_latency.py``.
-    """
-    import asyncio
-
-    from ..service import MiroService, ServiceConfig
-    from ..session import SimulationSession
-    from ..topology import generate_named
-
-    graph = generate_named(profile, seed=seed)
-    targets = list(graph.ases)[:destinations]
-    n_lookups = 5_000
-    suite = reporter.suite("service")
-
-    async def run() -> Tuple[float, float]:
-        with SimulationSession(
-            graph, parallel=False,
-            max_cached_tables=max(len(targets), 16),
-        ) as session:
-            async with MiroService(session, ServiceConfig()) as service:
-                start = clock()
-                await asyncio.gather(
-                    *[service.lookup(d) for d in targets]
-                )
-                cold = clock() - start
-                start = clock()
-                for i in range(n_lookups):
-                    await service.lookup(targets[i % len(targets)])
-                warm = clock() - start
-        return cold, warm
-
-    cold, warm = asyncio.run(run())
-    suite.record(
-        "cold_gather_seconds", cold, "seconds",
-        topology=profile, topology_size=len(graph),
-    )
-    suite.record(
-        "warm_lookups_per_second",
-        n_lookups / warm if warm else 0.0,
-        "lookups/s", better="higher",
-        topology=profile, topology_size=len(graph),
-    )
-
-
-#: The built-in `repro bench run` suites, in execution order.
-BENCH_SUITES: Dict[str, Callable[..., None]] = {
-    "kernel": _suite_kernel,
-    "session": _suite_session,
-    "events": _suite_events,
-    "service": _suite_service,
-}
-
-
-def run_suites(
-    reporter: BenchReporter,
-    suites: Sequence[str] = ("kernel", "session", "events", "service"),
-    profile: str = "verify-500",
-    seed: int = 0,
-    destinations: int = 64,
-    clock: Optional[Callable[[], float]] = None,
-) -> BenchReporter:
-    """Run the named built-in suites, recording into ``reporter``."""
-    import time
-
-    clock = clock or time.perf_counter
-    for name in suites:
-        runner = BENCH_SUITES.get(name)
-        if runner is None:
-            raise ObservabilityError(
-                f"unknown bench suite {name!r}; "
-                f"choose from {sorted(BENCH_SUITES)}"
-            )
-        runner(reporter, profile, seed, destinations, clock)
-    return reporter

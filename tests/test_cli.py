@@ -141,11 +141,16 @@ class TestFailureSweepCommand:
 
 
 class TestConvergeCommand:
-    def test_crosscheck_all_modes(self, capsys):
-        assert main(["converge", "--crosscheck"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("round/event states identical") == 5
-        assert "OSCILLATES" in out  # the unrestricted counterexample
+    def test_all_modes_on_synchronous_rounds(self, capsys):
+        assert main(["converge"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 5
+        assert lines[0].endswith(
+            "unrestricted: OSCILLATES (5 rounds) sim_time=4 activations=20"
+        )
+        assert lines[1].endswith(
+            "B: converged (3 rounds) sim_time=2 activations=12"
+        )
 
     def test_event_engine_with_delays(self, capsys):
         assert main([
@@ -156,18 +161,24 @@ class TestConvergeCommand:
         assert "sim_time=" in out
         assert "converged" in out
 
-    def test_round_engine(self, capsys):
-        assert main([
-            "converge", "--figure", "7.1", "--mode", "B",
-            "--engine", "rounds",
-        ]) == 0
-        assert "converged" in capsys.readouterr().out
+    @pytest.mark.parametrize("flags", [["--engine", "rounds"],
+                                       ["--crosscheck"]])
+    def test_engine_and_crosscheck_flags_are_gone(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["converge", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_crosscheck_rejects_delays(self, capsys):
-        assert main([
-            "converge", "--crosscheck", "--link-delay", "0.5",
-        ]) == 1
-        assert "synchronous" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", [
+        ["converge", "--figure", "7.1", "--mode", "B"],
+        ["churn", "--topologies", "1", "--demands", "3"],
+    ], ids=["converge", "churn"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_link_delay_is_rejected(self, command, value, capsys):
+        assert main([*command, "--link-delay", value]) == 1
+        captured = capsys.readouterr()
+        assert "finite" in captured.err
+        assert "converged" not in captured.out
 
 
 class TestChurnCommand:

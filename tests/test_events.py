@@ -58,6 +58,17 @@ def test_scheduling_into_the_past_raises():
     assert scheduler.run() == 1
 
 
+@pytest.mark.parametrize("time", [math.nan, math.inf])
+def test_scheduling_at_a_non_finite_time_raises(time):
+    scheduler = EventScheduler()
+    scheduler.register("tick", lambda event: None)
+    with pytest.raises(EventError, match="finite"):
+        scheduler.schedule(time, "tick")
+    with pytest.raises(EventError):
+        scheduler.schedule_after(time, "tick")
+    assert scheduler.pending == 0
+
+
 def test_unregistered_kind_raises():
     scheduler = EventScheduler()
     scheduler.schedule(1.0, "mystery")
@@ -208,6 +219,23 @@ def test_delay_model_rejects_negative_parameters():
         DelayModel(link_delay=-0.1)
     with pytest.raises(EventError):
         DelayModel(mrai=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["link_delay", "link_jitter",
+                                  "negotiation_delay", "mrai",
+                                  "activation_jitter"])
+def test_delay_model_rejects_non_finite_parameters(name, value):
+    with pytest.raises(EventError, match="finite"):
+        DelayModel(**{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -0.5])
+def test_delay_model_rejects_bad_override_values(value):
+    with pytest.raises(EventError, match="finite"):
+        DelayModel(link_overrides=(((1, 2), value),))
+    with pytest.raises(EventError, match="finite"):
+        DelayModel(mrai_overrides=((1, value),))
 
 
 def test_delay_model_is_hashable_and_comparable():

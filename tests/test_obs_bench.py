@@ -3,8 +3,8 @@
 Unit coverage for the canonical benchmark record schema, the
 ``BENCH_<sha>.json`` trajectory writer/merger, the regression comparator
 that backs the CI gate, and the span-tree profiler (rollup and
-collapsed-stack flamegraph export) — plus the ``repro bench`` CLI
-subcommands and the ``--flamegraph`` / ``--log-json`` flags end to end.
+collapsed-stack flamegraph export) — plus ``repro bench compare`` and
+the ``--flamegraph`` / ``--log-json`` flags end to end.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.obs.bench import (
     compare,
     detect_git_sha,
     load_trajectory,
-    run_suites,
     validate_document,
 )
 from repro.obs.profile import (
@@ -209,22 +208,6 @@ class TestCompare:
         assert document["regressions"][0]["metric"] == "settle_seconds"
 
 
-class TestRunSuites:
-    def test_suites_produce_the_gated_hot_path_metrics(self):
-        reporter = _reporter()
-        run_suites(reporter, suites=("session", "events"),
-                   profile="tiny", destinations=4)
-        gated = {f"{r.suite}.{r.metric}" for r in reporter.records if r.gate}
-        assert "session.warm_hit_seconds" in gated
-        assert "session.pool_ship_bytes" in gated
-        assert "session.pool_ship_seconds" in gated
-        assert "events.scheduler_events_per_second" in gated
-
-    def test_unknown_suite_rejected(self):
-        with pytest.raises(ObservabilityError, match="unknown bench suite"):
-            run_suites(_reporter(), suites=("nope",), profile="tiny")
-
-
 # ----------------------------------------------------------------------
 # profiler: span-tree rollup and collapsed stacks
 # ----------------------------------------------------------------------
@@ -300,23 +283,15 @@ class TestProfile:
 
 
 # ----------------------------------------------------------------------
-# CLI: repro bench run / compare, --flamegraph, --log-json
+# CLI: repro bench compare, --flamegraph, --log-json
 # ----------------------------------------------------------------------
 class TestBenchCli:
-    def test_bench_run_writes_a_valid_trajectory(self, tmp_path, capsys):
-        rc = main([
-            "bench", "run", "--profile", "tiny", "--suite", "session",
-            "--suite", "events", "--destinations", "4",
-            "--out", str(tmp_path), "--sha", "clisha1",
-        ])
-        assert rc == 0
-        document = load_trajectory(tmp_path / "BENCH_clisha1.json")
-        assert document["sha"] == "clisha1"
-        suites = {r["suite"] for r in document["records"]}
-        assert suites == {"session", "events"}
-        out = capsys.readouterr().out
-        assert "BENCH session.warm_hit_seconds=" in out
-        assert "BENCH_clisha1.json" in out
+    def test_bench_run_is_gone(self, capsys):
+        # the trajectory is written by the benchmarks/ suite alone
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "run"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bench_compare_gates_a_degraded_hot_path(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
@@ -365,7 +340,7 @@ class TestBenchCli:
     def test_log_json_flag_emits_json_lines(self, capsys):
         rc = main([
             "converge", "--figure", "7.1", "--mode", "unrestricted",
-            "--engine", "rounds", "--log-json", "--log-level", "info",
+            "--log-json", "--log-level", "info",
         ])
         assert rc == 0
         err = capsys.readouterr().err
