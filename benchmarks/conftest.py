@@ -37,7 +37,7 @@ def bench_trajectory():
     reporter = BenchReporter(
         sha=detect_git_sha(),
         timestamp=time.time(),
-        kernel=kernels.active().name,
+        kernel=kernels.resolve(),
         echo=lambda line: print("\n" + line, end=""),
     )
     yield reporter

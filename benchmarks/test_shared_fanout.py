@@ -29,6 +29,7 @@ import time
 import pytest
 
 from repro.bgp import kernels
+from repro.bgp.kernels.batched import numpy_available
 from repro.session import SimulationSession
 from repro.session import pool as session_pool
 from repro.topology import generate_named
@@ -194,7 +195,7 @@ def test_batched_pool_sweep_recorded(verify_500, bench_report):
     # ungated: under the batched kernel the serial sweep is fast enough
     # that IPC result-return dominates, so this records the trajectory
     # point without asserting a ratio
-    if not kernels.get("batched").is_available:
+    if not numpy_available():
         pytest.skip("batched kernel unavailable")
     destinations = verify_500.ases
     previous = kernels.set_active("batched")

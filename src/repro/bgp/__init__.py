@@ -26,9 +26,8 @@ from .routing import (
     recompute_routes,
 )
 
-# Imported after .routing so the backend registry can adapt the settling
-# implementations cycle-free; the import itself registers the built-in
-# scalar and batched backends.
+# Imported after .routing so the kernel dispatch can import the scalar
+# settling implementation cycle-free.
 from . import kernels
 
 __all__ = [

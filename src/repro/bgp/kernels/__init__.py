@@ -1,22 +1,24 @@
-"""Pluggable kernel-backend registry for stable-state route settling.
+"""Stable-state settling: two kernels behind one fixed dispatch.
 
-Before this package existed the repo had grown six hand-wired ways to
-produce a routing table — the legacy dict walk, the snapshot kernel,
-incremental recompute, the session cache, pool workers, and the verify
-oracle — each call site naming its computation function directly.  Every
-new kernel meant touching all of them.  The registry inverts that: a
-*kernel backend* is one implementation of the settling semantics
+Every routing table the repo builds from a snapshot — through
+:func:`repro.bgp.routing.compute_routes`, the session's serial sweeps and
+pool workers, and the differential oracle — is settled here, by one of
+two kernels that return the same table (values *and* dict insertion
+order, held byte-equal by the oracle's ``kernel:<name>`` modes):
 
-    ``settle(snapshot, destination, pinned) -> {asn: Route}``
+* ``scalar`` — the index-space heap kernel
+  (:func:`repro.bgp.routing.compute_routes_snapshot`); no dependencies.
+* ``batched`` — the vectorized wave kernel
+  (:mod:`repro.bgp.kernels.batched`): whole frontier waves settled as
+  numpy operations over the snapshot's flat CSR arrays, with whole
+  destination sweeps batched into one call.  Requires numpy (the
+  ``[accel]`` extra).
 
-registered under a name with capability flags, and every consumer —
-:func:`repro.bgp.routing.compute_routes`,
-:func:`repro.bgp.routing.recompute_routes`,
-:meth:`repro.session.SimulationSession.compute_many` pool workers, and
-:class:`repro.verify.oracle.DifferentialOracle` — resolves the backend it
-runs through this module.  The oracle *enumerates* the registry, so any
-newly registered backend automatically becomes a differential-oracle path
-held byte-equal to the reference walk under fault campaigns.
+Two limits of ``batched`` are plain code, not flags: its waves assume
+every candidate tail is already settled, which pinned routes break, so
+:func:`settle` runs pinned requests on ``scalar``; and its tables cannot
+seed :func:`repro.bgp.routing.recompute_routes`, which therefore settles
+large affected regions in full while it is active.
 
 Selection precedence (first match wins):
 
@@ -26,42 +28,22 @@ Selection precedence (first match wins):
 3. the ``REPRO_KERNEL`` environment variable,
 4. :data:`DEFAULT_KERNEL` (``"scalar"``).
 
-A backend whose dependencies are missing (e.g. ``batched`` without
-numpy — the ``[accel]`` extra) stays registered but unavailable;
-resolving it falls back to the scalar backend with a warning instead of
-failing, so ``REPRO_KERNEL=batched`` is safe to export machine-wide.
-
-Two backends ship in-tree, registered by this package's import:
-
-* ``scalar`` — the index-space heap kernel
-  (:func:`repro.bgp.routing.compute_routes_snapshot`); no dependencies,
-  settles pinned requests, seeds incremental recomputation.
-* ``batched`` — the vectorized wave kernel
-  (:mod:`repro.bgp.kernels.batched`): whole frontier waves settled as
-  numpy operations over the snapshot's flat CSR arrays, with the
-  decision order packed into integer sort keys.  Requires numpy.
+Selecting ``batched`` without numpy falls back to ``scalar`` with a
+one-time warning instead of failing, so ``REPRO_KERNEL=batched`` is safe
+to export machine-wide.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, Iterable, Optional, Tuple
 
 from ...errors import KernelError
-from ...obs import get_logger, get_registry
+from ...obs import get_logger, get_registry, get_tracer
 from ..route import Route
+from ..routing import compute_routes_snapshot
+from . import batched
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ...topology.snapshot import TopologySnapshot
@@ -73,159 +55,67 @@ _SETTLE_SECONDS = get_registry().histogram(
     labels=("backend",),
 )
 
-#: The backend used when nothing else is selected.
+#: The settling kernels, scalar (the default and the fallback) first.
+KERNELS: Tuple[str, ...] = ("scalar", "batched")
+
+#: The kernel used when nothing else is selected.
 DEFAULT_KERNEL = "scalar"
 
-#: Environment variable naming the default backend for the process.
+#: Environment variable naming the default kernel for the process.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
-SettleFn = Callable[..., Dict[int, Route]]
-
-
-def _always_available() -> bool:
-    return True
-
-
-@dataclass(frozen=True, slots=True)
-class KernelBackend:
-    """One registered settling implementation plus its capability flags.
-
-    ``settle`` computes the full stable state for one destination on a
-    frozen :class:`~repro.topology.snapshot.TopologySnapshot` and returns
-    the ASN-keyed best-route dict, byte-identical to
-    :func:`repro.bgp.routing.compute_routes_reference` — the registry
-    contract the differential oracle enforces for every backend.
-
-    Capability flags gate where the dispatcher will use the backend:
-
-    * ``pinned`` — the backend settles pinned-route requests itself;
-      otherwise :func:`settle` routes pinned requests to the scalar
-      backend.
-    * ``pool`` — the backend is safe to resolve inside process-pool
-      workers (its module is importable from a bare ``import repro``).
-    * ``incremental`` — the backend's tables can seed frontier-only
-      incremental recomputation (:func:`repro.bgp.routing.recompute_routes`);
-      backends without it make large-region recomputes prefer a full
-      settle instead.
-
-    ``available`` is probed at resolution time so an optional dependency
-    (numpy for ``batched``) can appear or disappear without
-    re-registration.
-    """
-
-    name: str
-    settle: SettleFn
-    description: str = ""
-    pinned: bool = True
-    pool: bool = True
-    incremental: bool = False
-    requires: Tuple[str, ...] = ()
-    available: Callable[[], bool] = field(default=_always_available)
-    #: Optional sweep entry point ``settle_many(snapshot, destinations)
-    #: -> {destination: best}``; backends that can amortize work across a
-    #: whole destination sweep provide it, everyone else is looped.
-    settle_many: Optional[Callable] = None
-
-    def is_available(self) -> bool:
-        return bool(self.available())
-
-
-#: Registration order is meaningful: the oracle enumerates in this order,
-#: and the scalar backend registers first.
-_REGISTRY: "Dict[str, KernelBackend]" = {}
 _ACTIVE_OVERRIDE: Optional[str] = None
-_FALLBACK_WARNED: set = set()
+_FALLBACK_WARNED = False
 
 
-def register(backend: KernelBackend, replace: bool = False) -> KernelBackend:
-    """Register ``backend`` under its name; returns it for chaining.
-
-    Re-registering an existing name raises unless ``replace`` — a silent
-    shadow of a builtin backend would bypass the oracle's guarantees.
-    """
-    if not backend.name:
-        raise KernelError("kernel backends need a non-empty name")
-    if backend.name in _REGISTRY and not replace:
+def _known(name: str) -> str:
+    if name not in KERNELS:
         raise KernelError(
-            f"kernel backend {backend.name!r} is already registered"
+            f"unknown kernel backend {name!r}; choose from "
+            f"{', '.join(KERNELS)}"
         )
-    _REGISTRY[backend.name] = backend
-    return backend
+    return name
 
 
-def unregister(name: str) -> None:
-    """Remove a registered backend (unknown names raise)."""
-    if name not in _REGISTRY:
-        raise KernelError(f"unknown kernel backend {name!r}")
-    if name == DEFAULT_KERNEL:
-        raise KernelError("the scalar fallback backend cannot be unregistered")
-    del _REGISTRY[name]
-
-
-def get(name: str) -> KernelBackend:
-    """The backend registered as ``name`` (raises :class:`KernelError`)."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KernelError(
-            f"unknown kernel backend {name!r}; registered: "
-            f"{', '.join(sorted(_REGISTRY))}"
-        ) from None
-
-
-def backends(available_only: bool = False) -> List[KernelBackend]:
-    """Registered backends in registration order (scalar first)."""
-    found = list(_REGISTRY.values())
-    if available_only:
-        found = [b for b in found if b.is_available()]
-    return found
-
-
-def kernel_names(available_only: bool = False) -> List[str]:
-    return [backend.name for backend in backends(available_only)]
+def available() -> Tuple[str, ...]:
+    """The kernels that can run in this process (scalar always can)."""
+    return KERNELS if batched.numpy_available() else (DEFAULT_KERNEL,)
 
 
 def set_active(name: Optional[str]) -> Optional[str]:
-    """Install (or with None clear) the process-wide backend override.
+    """Install (or with None clear) the process-wide kernel override.
 
-    Validates the name against the registry and returns the previous
-    override so callers (the CLI, test fixtures) can restore it.
+    Unknown names raise before anything is installed; returns the
+    previous override so callers (the CLI, test fixtures) can restore it.
     """
     global _ACTIVE_OVERRIDE
     if name is not None:
-        get(name)  # raises on unknown names before installing
+        _known(name)
     previous = _ACTIVE_OVERRIDE
     _ACTIVE_OVERRIDE = name
     return previous
 
 
-def resolve(name: Optional[str] = None) -> KernelBackend:
-    """The backend a settle call should run on, per selection precedence.
+def resolve(name: Optional[str] = None) -> str:
+    """The kernel a settle call runs on, per selection precedence.
 
-    Unknown names raise; a known-but-unavailable backend (missing
-    optional dependency) degrades to the scalar backend with a one-time
-    warning — the graceful-fallback contract that makes ``REPRO_KERNEL``
-    safe to set unconditionally.
+    Unknown names raise; ``batched`` without numpy degrades to scalar
+    with a one-time warning.
     """
+    global _FALLBACK_WARNED
     if name is None:
-        name = _ACTIVE_OVERRIDE
-    if name is None:
-        name = os.environ.get(KERNEL_ENV_VAR) or DEFAULT_KERNEL
-    backend = get(name)
-    if not backend.is_available():
-        if name not in _FALLBACK_WARNED:
-            _FALLBACK_WARNED.add(name)
+        name = (
+            _ACTIVE_OVERRIDE or os.environ.get(KERNEL_ENV_VAR) or DEFAULT_KERNEL
+        )
+    if _known(name) == "batched" and not batched.numpy_available():
+        if not _FALLBACK_WARNED:
+            _FALLBACK_WARNED = True
             _LOG.warning(
-                "kernel_unavailable", backend=name,
-                requires=",".join(backend.requires), fallback=DEFAULT_KERNEL,
+                "kernel_unavailable", backend=name, requires="numpy",
+                fallback=DEFAULT_KERNEL,
             )
-        return get(DEFAULT_KERNEL)
-    return backend
-
-
-def active() -> KernelBackend:
-    """The backend currently selected by override/env/default."""
-    return resolve()
+        return DEFAULT_KERNEL
+    return name
 
 
 def settle(
@@ -234,106 +124,54 @@ def settle(
     pinned: Optional[Dict[int, Route]] = None,
     kernel: Optional[str] = None,
 ) -> Dict[int, Route]:
-    """Dispatch one full-table settling through the registry.
+    """Settle one destination's full table on the selected kernel.
 
-    Resolves the backend (see :func:`resolve`), reroutes pinned requests
-    to the scalar backend when the resolved one lacks the ``pinned``
-    capability, and lands the wall-clock cost in the per-backend
-    ``repro_routing_settle_seconds`` histogram.
+    Pinned requests always settle on scalar; the wall-clock cost lands
+    in the per-kernel ``repro_routing_settle_seconds`` histogram.
     """
-    backend = resolve(kernel)
-    if pinned and not backend.pinned:
-        backend = get(DEFAULT_KERNEL)
+    name = resolve(kernel)
     start = time.perf_counter()
-    best = backend.settle(snapshot, destination, pinned)
-    _SETTLE_SECONDS.labels(backend=backend.name).observe(
-        time.perf_counter() - start
-    )
+    if name == "batched" and not pinned:
+        best = batched.settle_batched(snapshot, destination)
+    else:
+        name = DEFAULT_KERNEL
+        best = compute_routes_snapshot(snapshot, destination, pinned)
+    _SETTLE_SECONDS.labels(backend=name).observe(time.perf_counter() - start)
     return best
 
 
 def settle_many(
     snapshot: "TopologySnapshot",
-    destinations,
+    destinations: Iterable[int],
     kernel: Optional[str] = None,
 ) -> Dict[int, Dict[int, Route]]:
-    """Dispatch a whole (un-pinned) destination sweep through the registry.
+    """Settle a whole (un-pinned) destination sweep on the selected kernel.
 
-    Uses the resolved backend's ``settle_many`` batch entry point when it
-    has one (the batched kernel settles the sweep's waves jointly), and
-    falls back to looping :func:`settle` otherwise — same tables either
-    way, duplicates computed once.
+    ``batched`` settles the sweep's waves jointly; ``scalar`` loops.
+    Same tables either way, duplicates computed once.
     """
-    backend = resolve(kernel)
+    name = resolve(kernel)
     requested = list(destinations)
-    from ...obs import get_tracer
-
     start = time.perf_counter()
     with get_tracer().span(
-        "settle_many", backend=backend.name, destinations=len(requested)
+        "settle_many", backend=name, destinations=len(requested)
     ):
-        if backend.settle_many is not None:
-            out = backend.settle_many(snapshot, requested)
+        if name == "batched":
+            out = batched.settle_many(snapshot, requested)
         else:
-            out = {}
-            for destination in requested:
-                if destination not in out:
-                    out[destination] = backend.settle(
-                        snapshot, destination, None
-                    )
-    _SETTLE_SECONDS.labels(backend=backend.name).observe(
-        time.perf_counter() - start
-    )
+            out = {
+                destination: compute_routes_snapshot(snapshot, destination)
+                for destination in dict.fromkeys(requested)
+            }
+    _SETTLE_SECONDS.labels(backend=name).observe(time.perf_counter() - start)
     return out
 
 
-@contextmanager
-def temporary_kernel(
-    backend: Optional[KernelBackend] = None, activate: bool = True
-) -> Iterator[Optional[KernelBackend]]:
-    """Register (and by default activate) a backend for the enclosed block.
-
-    Test helper: the registration and the active override are both
-    restored on exit, whatever happens inside.
-    """
-    if backend is not None:
-        register(backend)
-    previous = set_active(backend.name) if (backend and activate) else None
-    try:
-        yield backend
-    finally:
-        if backend is not None and activate:
-            set_active(previous)
-        if backend is not None and backend.name in _REGISTRY:
-            unregister(backend.name)
-
-
 def describe() -> Dict[str, Any]:
-    """JSON-ready view of the registry, for exports and ``repro stats``."""
+    """JSON-ready view of the kernel selection, for exports and stats."""
     return {
-        "active": active().name,
+        "active": resolve(),
         "default": DEFAULT_KERNEL,
         "env": os.environ.get(KERNEL_ENV_VAR),
-        "backends": [
-            {
-                "name": backend.name,
-                "available": backend.is_available(),
-                "pinned": backend.pinned,
-                "pool": backend.pool,
-                "incremental": backend.incremental,
-                "batch": backend.settle_many is not None,
-                "requires": list(backend.requires),
-                "description": backend.description,
-            }
-            for backend in backends()
-        ],
+        "available": list(available()),
     }
-
-
-# ----------------------------------------------------------------------
-# built-in backends register on package import (the parent repro.bgp
-# package imports this module after repro.bgp.routing is initialized, so
-# the submodules can import the settling implementations cycle-free).
-# ----------------------------------------------------------------------
-from . import scalar as _scalar  # noqa: E402,F401  (registers "scalar")
-from . import batched as _batched  # noqa: E402,F401  (registers "batched")

@@ -2,7 +2,7 @@
 
 The scalar kernel (:func:`repro.bgp.routing.compute_routes_snapshot`)
 settles one heap entry at a time: pop ``(length, path, class)``, adopt,
-push the neighbours.  This backend settles whole **frontier waves** at
+push the neighbours.  This kernel settles whole **frontier waves** at
 once as numpy operations over the snapshot's flat per-class adjacency
 (:meth:`~repro.topology.snapshot.TopologySnapshot.class_arrays`), and —
 because destinations are mutually independent — settles **many
@@ -10,7 +10,7 @@ destinations in one call** (:func:`settle_many`) on a composite
 ``destination-slot × node`` index space, so the per-wave numpy dispatch
 cost amortizes over the whole sweep.  The output is byte-equal to the
 scalar kernel — same best routes, same output-dict insertion order —
-which the differential oracle enforces by enumerating this backend.
+which the differential oracle enforces as mode ``kernel:batched``.
 
 Why waves are exact, not an approximation
 -----------------------------------------
@@ -34,8 +34,8 @@ Without pinned routes every node on a candidate's tail is already
 settled, so the scalar kernel's ``nb not in path`` loop check is always
 true for an unsettled target, and route classes collapse to per-phase
 constants (Phase 1 adopts CUSTOMER, Phase 2 PEER, Phase 3 PROVIDER).
-Pinned routes break both properties, so this backend registers with
-``pinned=False`` and delegates pinned requests to the scalar kernel.
+Pinned routes break both properties, so the dispatcher in
+:mod:`repro.bgp.kernels` settles pinned requests on the scalar kernel.
 
 The full decision order (class, then length, then parent) packs into one
 integer — :func:`pack_candidate_key`, property-tested against
@@ -62,12 +62,9 @@ from ..routing import (
     _TABLES_TOTAL,
     _TRACER,
     _phase_span,
-    compute_routes_snapshot,
 )
-from . import KernelBackend, register
 
 __all__ = [
-    "BACKEND",
     "numpy_available",
     "pack_candidate_key",
     "settle_batched",
@@ -122,7 +119,7 @@ def pack_candidate_key(
 
 
 def numpy_available() -> bool:
-    """Whether the [accel] extra (numpy) is importable — probed at resolve."""
+    """Whether the [accel] extra (numpy) is importable."""
     return _np is not None
 
 
@@ -382,20 +379,13 @@ def _settle_chunk_nogc(
 # public entry points
 # ----------------------------------------------------------------------
 
-def settle_batched(
-    snapshot,
-    destination: int,
-    pinned: Optional[Dict[int, Route]] = None,
-) -> Dict[int, Route]:
+def settle_batched(snapshot, destination: int) -> Dict[int, Route]:
     """Settle the stable state for ``destination`` in frontier waves.
 
     Byte-equal to :func:`repro.bgp.routing.compute_routes_snapshot`
-    (values *and* dict insertion order).  Pinned requests delegate to the
-    scalar kernel — the registry dispatcher already reroutes them, this
-    keeps direct calls (the oracle enumerates backends) correct too.
+    (values *and* dict insertion order).  Un-pinned only: the dispatcher
+    in :mod:`repro.bgp.kernels` settles pinned requests on scalar.
     """
-    if pinned:
-        return compute_routes_snapshot(snapshot, destination, pinned)
     if _np is None:
         raise KernelError(
             "the batched kernel requires numpy — install the [accel] "
@@ -423,12 +413,7 @@ def settle_many(
             "the batched kernel requires numpy — install the [accel] "
             "extra or select --kernel scalar"
         )
-    unique: List[int] = []
-    seen = set()
-    for destination in destinations:
-        if destination not in seen:
-            seen.add(destination)
-            unique.append(destination)
+    unique: List[int] = list(dict.fromkeys(destinations))
     indices = [snapshot.index_of(d) for d in unique]
     chunk = max(1, _CHUNK_ENTRIES // max(snapshot.n, 1))
     out: Dict[int, Dict[int, Route]] = {}
@@ -441,22 +426,3 @@ def settle_many(
             ):
                 out[destination] = best
     return out
-
-
-BACKEND = register(
-    KernelBackend(
-        name="batched",
-        settle=settle_batched,
-        settle_many=settle_many,
-        description=(
-            "Vectorized frontier-wave settling over the CSR arrays, "
-            "batching whole destination sweeps (numpy; pinned requests "
-            "delegate to scalar)"
-        ),
-        pinned=False,
-        pool=True,
-        incremental=False,
-        requires=("numpy",),
-        available=numpy_available,
-    )
-)

@@ -269,8 +269,8 @@ def compute_routes(
     selects normally.  Pinned routes must be held by the given AS and
     target ``destination``.
 
-    This is the graph-level front door of the kernel registry: it settles
-    on ``graph.snapshot()`` through whichever backend is selected
+    This is the graph-level front door of the settling kernels: it
+    settles on ``graph.snapshot()`` through whichever kernel is selected
     (:func:`repro.bgp.kernels.settle` — ``--kernel`` / ``REPRO_KERNEL`` /
     the scalar default) and wraps the translated result — byte-identical
     to the legacy walk, which survives as
@@ -280,8 +280,8 @@ def compute_routes(
         raise UnknownASError(destination)
     pinned = dict(pinned or {})
     snapshot = graph.snapshot()
-    # Late import: repro.bgp.kernels initializes after this module (its
-    # backends adapt the settling implementations defined here).
+    # Late import: repro.bgp.kernels initializes after this module (it
+    # dispatches to the settling implementation defined here).
     from .kernels import settle
 
     try:
@@ -706,16 +706,16 @@ def recompute_routes(
     _AFFECTED_SIZE.observe(len(affected))
 
     # The frontier relaxation below is scalar work proportional to the
-    # affected region.  When the active kernel backend cannot seed from
-    # old tables (no ``incremental`` capability — e.g. the batched wave
-    # kernel) a large region loses the incremental advantage, and a full
-    # settle on that backend is the faster *and* representative path.
-    # Small regions stay incremental regardless: they are cheap either
-    # way, and unaffected routes are then reused verbatim.
+    # affected region.  The batched wave kernel cannot seed from old
+    # tables, so when it is active a large region loses the incremental
+    # advantage, and a full settle on it is the faster *and*
+    # representative path.  Small regions stay incremental regardless:
+    # they are cheap either way, and unaffected routes are then reused
+    # verbatim.
     if len(affected) >= 64 and len(affected) * 4 >= len(graph):
-        from .kernels import active as _active_kernel
+        from .kernels import resolve as _resolve_kernel
 
-        if not _active_kernel().incremental:
+        if _resolve_kernel() == "batched":
             _FALLBACKS_TOTAL.labels(reason="kernel_not_incremental").inc()
             return compute_routes(graph, destination)
 

@@ -64,10 +64,10 @@ def _add_topology_args(
 
 def _add_kernel_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--kernel", choices=kernels.kernel_names(), default=None,
-        help="settling kernel backend for route computation "
+        "--kernel", choices=kernels.KERNELS, default=None,
+        help="settling kernel for route computation "
              f"(default: ${kernels.KERNEL_ENV_VAR} or "
-             f"{kernels.DEFAULT_KERNEL}; unavailable backends fall "
+             f"{kernels.DEFAULT_KERNEL}; batched without numpy falls "
              "back to scalar)",
     )
 
@@ -161,9 +161,8 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     print(f"snapshot:           {snapshot.n} indices, "
           f"{snapshot.num_directed_edges} directed edges, "
           f"{len(pickle.dumps(snapshot))} pickled bytes")
-    available = ", ".join(kernels.kernel_names(available_only=True))
-    print(f"kernel:             {kernels.active().name} "
-          f"(available: {available})")
+    print(f"kernel:             {kernels.resolve()} "
+          f"(available: {', '.join(kernels.available())})")
     if args.out:
         with open(args.out, "w") as handle:
             handle.write(dump_topology(graph))
@@ -539,7 +538,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         payload = registry.render_prometheus()
     else:
         payload = (
-            f"active kernel: {kernels.active().name}\n\n"
+            f"active kernel: {kernels.resolve()}\n\n"
             + session.stats.render() + "\n\n"
             + _render_pool_info(pool) + "\n\n" + registry.render_text()
         )
@@ -928,7 +927,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             getattr(args, "log_level", None) or "warning",
             json_lines=getattr(args, "log_json", False),
         )
-    # --kernel installs the process-wide backend override for the run;
+    # --kernel installs the process-wide kernel override for the run;
     # restored afterwards so embedding callers (tests) are unaffected.
     previous_kernel = kernels.set_active(getattr(args, "kernel", None)) \
         if getattr(args, "kernel", None) else None

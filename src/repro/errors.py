@@ -32,7 +32,7 @@ class RoutingError(ReproError):
 
 
 class KernelError(RoutingError):
-    """Kernel-backend registry misuse (unknown backend, bad registration)."""
+    """An unknown settling kernel, or one run without its dependency."""
 
 
 class SessionError(ReproError):

@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+from ..bgp import kernels
 from ..miro.policies import ExportPolicy
 from ..obs import get_registry
 from ..topology.graph import ASGraph
@@ -154,8 +155,6 @@ def export_results(
             max_push_path_length=5, session=session,
         )),
     }
-    from ..bgp import kernels
-
     document["kernel"] = kernels.describe()
     document["session_stats"] = session.stats.to_dict()
     document["metrics"] = get_registry().snapshot()

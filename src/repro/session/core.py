@@ -557,10 +557,9 @@ class SessionCore:
                 used_pool = self._fanout_pool(snapshot, remaining, filled)
             rest = [d for d in remaining if d not in filled]
             if rest:
-                # sweep the remainder through the active kernel backend
-                # in one batch — backends with a settle_many entry point
-                # (the batched wave kernel) amortize their per-wave cost
-                # over the whole sweep
+                # sweep the remainder through the active kernel in one
+                # batch — the batched wave kernel amortizes its per-wave
+                # cost over the whole sweep
                 swept = kernels.settle_many(snapshot, rest)
                 for destination in rest:
                     filled[destination] = RoutingTable(
@@ -611,10 +610,8 @@ class SessionCore:
             executor, spec = self._pool.ensure(snapshot)
         except Exception:
             return False
-        # Workers settle on the parent's active backend — unless it opts
-        # out of pool use, in which case they run the scalar default.
-        backend = kernels.resolve()
-        kernel = backend.name if backend.pool else kernels.DEFAULT_KERNEL
+        # workers settle on the parent's active kernel
+        kernel = kernels.resolve()
         obs_state = obs.worker_state()
         futures: List[Tuple[Tuple[int, ...], object]] = []
         try:

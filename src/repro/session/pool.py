@@ -15,6 +15,15 @@ paid, not one per fan-out.  Workers never see the mutable graph.
 :class:`_FanoutPool` is internally locked: the serving plane's
 single-flight leaders publish and submit from several threads at once,
 and republish/teardown must not race a concurrent ensure.
+
+Workers are forked, and a forked child inherits every lock exactly as
+its parent held it.  Creating or unlinking a shared-memory segment takes
+:mod:`multiprocessing.resource_tracker`'s lock; a worker forked while
+another thread held it would block for ever in its first attach.  So
+every worker fork and every parent-side segment create/unlink runs under
+one process-wide :data:`_FORK_LOCK`, and :meth:`_FanoutPool.ensure`
+starts the workers itself instead of leaving the fork to the first
+``executor.submit``.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .. import obs
 from ..bgp import kernels
 from ..bgp.route import Route, RouteClass
-from ..errors import KernelError, SessionError, UnknownASError
+from ..errors import SessionError, UnknownASError
 from ..obs import (
     DEFAULT_BYTE_BUCKETS,
     DEFAULT_SIZE_BUCKETS,
@@ -88,6 +97,34 @@ _SHARED_SNAPSHOT_BYTES = get_registry().histogram(
 #: work-stealing scheduler: a worker that drains a cheap shard pulls the
 #: next one instead of idling behind a straggler.
 POOL_SHARD_FACTOR = 4
+
+
+#: Serializes worker forks against shared-memory segment creates and
+#: unlinks in this process (see the module docstring).  Process-wide
+#: because every session's pool forks from the same process.
+_FORK_LOCK = threading.Lock()
+
+
+def _reset_fork_lock() -> None:
+    """Give a forked child a fresh lock: it inherits this one held by the
+    forking thread, and a pool finalizer run by the child's garbage
+    collector would otherwise block on it for ever."""
+    global _FORK_LOCK
+    _FORK_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_fork_lock)
+
+
+def _shared_memory_available() -> bool:
+    """:func:`shared_memory_available` with its probe segment under
+    :data:`_FORK_LOCK`."""
+    with _FORK_LOCK:
+        return shared_memory_available()
+
+
+def _pool_ready() -> None:
+    """No-op job: its result proves the workers forked and initialized."""
 
 
 #: Job spec: (transport mode, graph version, descriptor-or-None, ship bytes).
@@ -222,10 +259,10 @@ def _pool_settle_shard(
 ) -> Tuple[Tuple[int, ...], Optional[PackedTables], Dict[str, object]]:
     """Settle one shard — a contiguous destination range — in a worker.
 
-    The whole shard goes through the backend sweep entry point, so the
-    batched kernel amortizes its wave setup across the range exactly as
-    it would in the parent's serial path (same call, same tables, byte
-    for byte).
+    The whole shard goes through :func:`repro.bgp.kernels.settle_many`,
+    so the batched kernel amortizes its wave setup across the range
+    exactly as it would in the parent's serial path (same call, same
+    tables, byte for byte).
     """
     spec, obs_state, kernel, destinations = job
     _worker_configure_obs(obs_state)
@@ -233,11 +270,9 @@ def _pool_settle_shard(
         snapshot = _worker_snapshot(spec)
         swept = kernels.settle_many(snapshot, destinations, kernel=kernel)
         packed: Optional[PackedTables] = _encode_shard(destinations, swept)
-    except (UnknownASError, KernelError):
-        # Not settleable on this side (a destination the parent will
-        # reject anyway, or the shipped kernel missing its optional
-        # dependency in the worker): hand the shard back for the parent's
-        # serial path, which raises the right error when there is one.
+    except UnknownASError:
+        # a destination the parent will reject anyway: hand the shard
+        # back for the parent's serial path, which raises the right error
         packed = None
     # ship only the packed selected-route buffer back; the parent re-wraps
     # it around its own graph object (no graph on this side at all)
@@ -318,7 +353,7 @@ class _FanoutPool:
             "max_workers": self.workers,
             "shards": self.shards,
             "shard_factor": POOL_SHARD_FACTOR,
-            "shared_memory": shared_memory_available(),
+            "shared_memory": _shared_memory_available(),
             "mode": self.mode,
             "published_version": self._version,
             "shared_bytes": self.shared_bytes,
@@ -344,7 +379,7 @@ class _FanoutPool:
     def can_run(self, snapshot: TopologySnapshot) -> bool:
         """True when some transport can ship ``snapshot`` to workers."""
         return (
-            shared_memory_available()
+            _shared_memory_available()
             or self._pickle_bytes(snapshot) is not None
         )
 
@@ -354,9 +389,10 @@ class _FanoutPool:
         """Publish ``snapshot`` (if its version is new) and return the
         live executor plus the job spec workers attach from.
 
-        Raises :class:`SessionError` when shared memory is unavailable
-        and the snapshot does not pickle — no transport reaches the
-        workers.
+        Every worker process exists when this returns, so a later
+        ``submit`` never forks.  Raises :class:`SessionError` when shared
+        memory is unavailable and the snapshot does not pickle — no
+        transport reaches the workers.
         """
         with self._lock:
             return self._ensure_locked(snapshot)
@@ -376,6 +412,24 @@ class _FanoutPool:
         ):
             return self._executor, self._spec
         start = time.perf_counter()
+        previous = self._executor
+        with _FORK_LOCK:
+            spec = self._publish(snapshot)
+            _POOL_SHIP_SECONDS.observe(time.perf_counter() - start)
+            if self._executor is not previous:
+                # fork every worker of the new executor now, under the
+                # lock: its first submit would otherwise fork them
+                self._executor.submit(_pool_ready).result()
+        self._spec = spec
+        self._version = snapshot.version
+        return self._executor, spec
+
+    def _publish(self, snapshot: TopologySnapshot) -> PoolSpec:
+        """Publish ``snapshot`` on the best transport and return its spec,
+        (re)building the executor when the transport needs a new one.
+
+        Caller holds :data:`_FORK_LOCK`.
+        """
         shared: Optional[SharedSnapshot] = None
         if shared_memory_available():
             try:
@@ -415,10 +469,7 @@ class _FanoutPool:
             )
             spec = ("init", snapshot.version, None, ship_bytes_opt)
             self._mode = "init"
-        self._spec = spec
-        self._version = snapshot.version
-        _POOL_SHIP_SECONDS.observe(time.perf_counter() - start)
-        return self._executor, spec
+        return spec
 
     def shard(self, misses: List[int]) -> List[Tuple[int, ...]]:
         """Split ``misses`` into contiguous destination ranges.
@@ -458,6 +509,7 @@ class _FanoutPool:
         """
         with self._lock:
             self._shutdown_executor(wait=wait)
-            self._release_shared()
+            with _FORK_LOCK:
+                self._release_shared()
             self._spec = None
             self._version = None

@@ -304,10 +304,9 @@ class AppliedDelta:
 
         The bridge from the journal's ASN-keyed change record to the
         int-indexed hot-path representation: what an index-space consumer
-        (a kernel backend's incremental seeding — see
-        :mod:`repro.bgp.kernels` and the ``incremental`` capability flag —
-        or a future sharded recompute) treats as the re-settling
-        frontier.  See :func:`changed_link_indices` for the mapping rules.
+        (incremental seeding of a settling kernel, or a future sharded
+        recompute) treats as the re-settling frontier.  See
+        :func:`changed_link_indices` for the mapping rules.
         """
         return changed_link_indices(snapshot, self.changed_links)
 

@@ -1,12 +1,12 @@
 """Differential oracle: all route-computation paths must agree.
 
-The repo produces a routing table many ways — every kernel backend
-registered in :mod:`repro.bgp.kernels` (the scalar index-space settling,
-the vectorized batched wave kernel, anything a test registers), the
-legacy dict walk :func:`~repro.bgp.routing.compute_routes_reference`,
-incremental :func:`~repro.bgp.routing.recompute_routes` from a
-pre-mutation table, :class:`~repro.session.SimulationSession` serial
-(cache + derivation), the session's sharded shared-memory
+The repo produces a routing table many ways — each settling kernel in
+:mod:`repro.bgp.kernels` that can run here (the scalar index-space
+settling and, with numpy, the vectorized batched wave kernel; modes
+``kernel:scalar`` and ``kernel:batched``), the legacy dict walk
+:func:`~repro.bgp.routing.compute_routes_reference`, incremental
+:func:`~repro.bgp.routing.recompute_routes` from a pre-mutation table,
+:class:`~repro.session.SimulationSession` serial (cache + derivation), the session's sharded shared-memory
 process-pool fan-out (mode ``session-pool-sharded``, forced into
 multiple destination-range shards so the shard boundaries themselves
 are under the contract), and the asyncio query daemon's micro-batched
@@ -17,11 +17,6 @@ paper's numbers are only credible if they are interchangeable, so the
 oracle computes every destination via every path and reports the first
 divergence as a concrete ``(mode, destination, asn, expected, actual)``
 tuple.
-
-The kernel paths are **enumerated from the registry**, not hand-listed:
-registering a backend automatically subjects it to every fault campaign
-the oracle drives (mode ``kernel:<name>``), which is the registry's
-byte-equality contract being enforced rather than assumed.
 
 The legacy dict walk is the reference: it is the direct transcription of
 the three-phase stable-state construction, shares no hot-path code with
@@ -185,19 +180,16 @@ class DifferentialOracle:
         for destination in self.destinations:
             reference = compute_routes_reference(self.graph, destination)
             references[destination] = reference
-            # the production paths first: every available kernel backend
-            # against the legacy dict walk it must reproduce byte for
-            # byte — enumerated from the registry, so a newly registered
-            # backend is under the oracle without touching this file
+            # the production paths first: every kernel that can run here
+            # against the legacy dict walk it must reproduce byte for byte
             found = None
-            for backend in kernels.backends(available_only=True):
+            for name in kernels.available():
                 candidate = RoutingTable(
                     self.graph, destination,
-                    kernels.settle(snapshot, destination,
-                                   kernel=backend.name),
+                    kernels.settle(snapshot, destination, kernel=name),
                 )
                 found = first_divergence(
-                    reference, candidate, f"kernel:{backend.name}"
+                    reference, candidate, f"kernel:{name}"
                 )
                 if found is not None:
                     break

@@ -1,12 +1,13 @@
-"""Kernel-backend registry: selection, dispatch, and byte-equality.
+"""Settling kernels: selection, dispatch, and byte-equality.
 
-Covers the registry mechanics (registration rules, selection precedence,
-graceful fallback for unavailable backends), the batched wave kernel's
-byte-equality with the scalar kernel (values *and* dict insertion order,
-single destination and whole sweeps, before and after topology deltas),
-the packed integer sort key against the ``Route`` decision process, the
-oracle's registry enumeration (a deliberately wrong backend must be
-caught by a fault campaign), and the CLI / session-pool plumbing.
+Covers the fixed two-kernel dispatch (selection precedence, the
+no-numpy fallback to scalar, pinned requests on scalar), the batched
+wave kernel's byte-equality with the scalar kernel (values *and* dict
+insertion order, single destination and whole sweeps, before and after
+topology deltas), the packed integer sort key against the ``Route``
+decision process, the oracle's per-kernel modes (a deliberately wrong
+kernel must be caught by a fault campaign as ``kernel:<name>``), and the
+CLI / session-pool plumbing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import kernels
-from repro.bgp.kernels import KernelBackend, temporary_kernel
+from repro.bgp.kernels import batched as batched_module
 from repro.bgp.kernels.batched import (
     PACK_CLASS_SHIFT,
     PACK_LENGTH_SHIFT,
@@ -37,10 +38,6 @@ needs_numpy = pytest.mark.skipif(
 )
 
 
-def _settle_via_scalar(graph, destination):
-    return compute_routes_snapshot(graph.snapshot(), destination)
-
-
 def _assert_tables_byte_equal(expected, actual):
     assert list(expected) == list(actual)  # values AND insertion order
     for asn, route in expected.items():
@@ -50,64 +47,44 @@ def _assert_tables_byte_equal(expected, actual):
 
 
 # ----------------------------------------------------------------------
-# registry mechanics
+# the fixed kernel set
 # ----------------------------------------------------------------------
-class TestRegistry:
-    def test_builtins_registered_scalar_first(self):
-        names = kernels.kernel_names()
-        assert names[0] == "scalar"
-        assert "batched" in names
+class TestKernelSet:
+    def test_two_kernels_scalar_first(self):
+        assert kernels.KERNELS == ("scalar", "batched")
+        assert kernels.available()[0] == kernels.DEFAULT_KERNEL == "scalar"
+        assert kernels.available() == (
+            kernels.KERNELS if numpy_available() else ("scalar",)
+        )
 
-    def test_get_unknown_raises(self):
+    def test_unknown_name_raises(self):
         with pytest.raises(KernelError, match="unknown kernel backend"):
-            kernels.get("no-such-kernel")
-
-    def test_duplicate_registration_raises_unless_replace(self):
-        backend = KernelBackend(name="dup", settle=_settle_via_scalar)
-        with temporary_kernel(backend, activate=False):
-            with pytest.raises(KernelError, match="already registered"):
-                kernels.register(KernelBackend(name="dup", settle=len))
-            replacement = KernelBackend(name="dup", settle=len)
-            assert kernels.register(replacement, replace=True) is replacement
-
-    def test_scalar_cannot_be_unregistered(self):
-        with pytest.raises(KernelError, match="cannot be unregistered"):
-            kernels.unregister("scalar")
-
-    def test_unregister_unknown_raises(self):
-        with pytest.raises(KernelError):
-            kernels.unregister("no-such-kernel")
+            kernels.resolve("no-such-kernel")
 
     def test_describe_is_json_ready(self):
         description = kernels.describe()
         json.dumps(description)  # must serialize
-        names = [b["name"] for b in description["backends"]]
-        assert description["active"] in names
+        assert description["active"] in description["available"]
+        assert description["available"] == list(kernels.available())
         assert description["default"] == kernels.DEFAULT_KERNEL
-        batched_entry = next(
-            b for b in description["backends"] if b["name"] == "batched"
-        )
-        assert batched_entry["requires"] == ["numpy"]
-        assert batched_entry["batch"] is True
-        assert batched_entry["pinned"] is False
 
 
 class TestSelectionPrecedence:
     def test_default_is_scalar(self, monkeypatch):
         monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
-        assert kernels.resolve().name == kernels.DEFAULT_KERNEL
+        assert kernels.resolve() == kernels.DEFAULT_KERNEL
 
     def test_env_variable_selects(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
-        assert kernels.resolve().name in ("batched", "scalar")
+        assert kernels.resolve() in ("batched", "scalar")
         if numpy_available():
-            assert kernels.resolve().name == "batched"
+            assert kernels.resolve() == "batched"
 
     def test_set_active_overrides_env(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "batched")
         previous = kernels.set_active("scalar")
         try:
-            assert kernels.resolve().name == "scalar"
+            assert kernels.resolve() == "scalar"
         finally:
             kernels.set_active(previous)
 
@@ -115,24 +92,32 @@ class TestSelectionPrecedence:
         monkeypatch.delenv(kernels.KERNEL_ENV_VAR, raising=False)
         previous = kernels.set_active("scalar")
         try:
-            assert kernels.resolve("batched").name in ("batched", "scalar")
-            backend = kernels.resolve("scalar")
-            assert backend.name == "scalar"
+            assert kernels.resolve("batched") in ("batched", "scalar")
+            assert kernels.resolve("scalar") == "scalar"
         finally:
             kernels.set_active(previous)
 
     def test_set_active_unknown_raises_without_installing(self):
         with pytest.raises(KernelError):
             kernels.set_active("no-such-kernel")
-        assert kernels.active().name in kernels.kernel_names()
+        assert kernels.resolve() in kernels.KERNELS
 
-    def test_unavailable_backend_falls_back_to_scalar(self):
-        backend = KernelBackend(
-            name="phantom", settle=_settle_via_scalar,
-            requires=("nothing-installable",), available=lambda: False,
+    def test_batched_without_numpy_falls_back_to_scalar(
+        self, tiny_graph, monkeypatch
+    ):
+        monkeypatch.setattr(batched_module, "_np", None)
+        assert kernels.available() == ("scalar",)
+        assert kernels.resolve("batched") == "scalar"
+        snapshot = tiny_graph.snapshot()
+        destination = tiny_graph.ases[0]
+        _assert_tables_byte_equal(
+            compute_routes_snapshot(snapshot, destination),
+            kernels.settle(snapshot, destination, kernel="batched"),
         )
-        with temporary_kernel(backend):
-            assert kernels.resolve().name == "scalar"
+        swept = kernels.settle_many(snapshot, [destination], kernel="batched")
+        _assert_tables_byte_equal(
+            compute_routes_snapshot(snapshot, destination), swept[destination]
+        )
 
     def test_unknown_env_kernel_raises(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNEL_ENV_VAR, "no-such-kernel")
@@ -163,7 +148,7 @@ class TestDispatch:
         expected = compute_routes_snapshot(snapshot, destination, pinned)
         _assert_tables_byte_equal(expected, best)
 
-    def test_settle_many_loops_backends_without_batch_entry(self, tiny_graph):
+    def test_scalar_settle_many_dedupes(self, tiny_graph):
         snapshot = tiny_graph.snapshot()
         destinations = tiny_graph.ases[:4] + tiny_graph.ases[:2]  # dupes
         swept = kernels.settle_many(snapshot, destinations, kernel="scalar")
@@ -213,15 +198,13 @@ class TestBatchedByteEquality:
             )
 
     def test_no_numpy_raises_kernel_error(self, tiny_graph, monkeypatch):
-        from repro.bgp.kernels import batched as batched_module
-
         monkeypatch.setattr(batched_module, "_np", None)
         with pytest.raises(KernelError, match="requires numpy"):
             settle_batched(tiny_graph.snapshot(), tiny_graph.ases[0])
         # and resolution degrades to scalar instead of failing
         previous = kernels.set_active("batched")
         try:
-            assert kernels.resolve().name == "scalar"
+            assert kernels.resolve() == "scalar"
         finally:
             kernels.set_active(previous)
 
@@ -308,10 +291,10 @@ class TestPackedKey:
 
 
 # ----------------------------------------------------------------------
-# oracle enumeration: a wrong backend must be caught
+# oracle kernel modes: a wrong kernel must be caught
 # ----------------------------------------------------------------------
 def _settle_toy_wrong(snapshot, destination, pinned=None):
-    """Deliberately wrong backend: claims a direct link for one AS."""
+    """Deliberately wrong kernel: claims a direct link for one AS."""
     best = dict(compute_routes_snapshot(snapshot, destination, pinned))
     for asn, route in best.items():
         if asn != destination and route.length >= 2:
@@ -320,32 +303,39 @@ def _settle_toy_wrong(snapshot, destination, pinned=None):
     return best
 
 
-class TestOracleEnumeration:
-    def test_oracle_checks_every_registered_backend(self, tiny_graph):
+class TestOracleKernelModes:
+    def test_oracle_checks_every_available_kernel(self, tiny_graph):
         from repro.verify.oracle import DifferentialOracle
 
         oracle = DifferentialOracle(tiny_graph, tiny_graph.ases[:3])
         result = oracle.check()
         assert result.ok
 
-    def test_wrong_toy_backend_is_caught_by_campaign(self):
+    @pytest.mark.parametrize("name", kernels.KERNELS)
+    def test_wrong_toy_kernel_is_caught_by_campaign(self, name, monkeypatch):
         from repro.verify.campaign import run_campaign
 
-        backend = KernelBackend(
-            name="toy-wrong", settle=_settle_toy_wrong, pool=False,
-        )
-        with temporary_kernel(backend, activate=False):
-            outcome = run_campaign(
-                lambda: generate_topology(TINY, seed=5),
-                seed=11, n_events=2, n_destinations=4,
-                include_pool=False, check_invariants=False, minimize=False,
+        if name not in kernels.available():
+            pytest.skip(f"{name} kernel unavailable")
+        if name == "scalar":
+            monkeypatch.setattr(
+                kernels, "compute_routes_snapshot", _settle_toy_wrong
             )
+        else:
+            monkeypatch.setattr(
+                batched_module, "settle_batched", _settle_toy_wrong
+            )
+        outcome = run_campaign(
+            lambda: generate_topology(TINY, seed=5),
+            seed=11, n_events=2, n_destinations=4,
+            include_pool=False, check_invariants=False, minimize=False,
+        )
         assert not outcome.ok
         assert any(
-            d.mode == "kernel:toy-wrong" for d in outcome.divergences
+            d.mode == f"kernel:{name}" for d in outcome.divergences
         ), [d.mode for d in outcome.divergences]
 
-    def test_clean_campaign_passes_with_all_builtin_backends(self):
+    def test_clean_campaign_passes_with_both_kernels(self):
         from repro.verify.campaign import run_campaign
 
         outcome = run_campaign(
@@ -374,12 +364,12 @@ class TestCliKernel:
     def test_kernel_override_restored_after_run(self):
         from repro.cli import main
 
-        before = kernels.active().name
+        before = kernels.resolve()
         assert main([
             "route", "--profile", "tiny", "--seed", "1",
             "--destination", "1", "--kernel", "scalar",
         ]) == 0
-        assert kernels.active().name == before
+        assert kernels.resolve() == before
 
     def test_topology_reports_active_kernel(self, capsys):
         from repro.cli import main
@@ -387,7 +377,7 @@ class TestCliKernel:
         assert main(["topology", "--profile", "tiny"]) == 0
         out = capsys.readouterr().out
         assert "kernel:" in out
-        assert kernels.active().name in out
+        assert kernels.resolve() in out
 
     def test_stats_json_embeds_kernel_description(self, tmp_path):
         from repro.cli import main
@@ -399,8 +389,7 @@ class TestCliKernel:
         ]) == 0
         document = json.loads(out_path.read_text())
         assert document["kernel"]["default"] == "scalar"
-        names = [b["name"] for b in document["kernel"]["backends"]]
-        assert "batched" in names
+        assert document["kernel"]["available"][0] == "scalar"
 
 
 class TestSessionKernel:
@@ -439,19 +428,6 @@ class TestSessionKernel:
                 dict(tables[destination].items()),
             )
 
-    def test_pool_opt_out_backend_falls_back_to_scalar(self, small_graph):
-        no_pool = KernelBackend(
-            name="no-pool", settle=_settle_via_scalar, pool=False,
-        )
-        with temporary_kernel(no_pool):
-            session = SimulationSession(
-                small_graph, parallel=True, max_workers=2
-            )
-            tables = session.compute_many(
-                small_graph.ases[:18], parallel=True
-            )
-        assert len(tables) == 18
-
 
 # ----------------------------------------------------------------------
 # settle_many chunk boundaries
@@ -464,8 +440,6 @@ class TestSettleManyChunking:
     be invisible in the output."""
 
     def _chunked(self, graph, per_chunk, destinations, monkeypatch):
-        from repro.bgp.kernels import batched as batched_module
-
         snapshot = graph.snapshot()
         monkeypatch.setattr(
             batched_module, "_CHUNK_ENTRIES", per_chunk * snapshot.n

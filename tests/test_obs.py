@@ -429,7 +429,7 @@ class TestRoutingInstruments:
         # batched wave kernel under mode="batched" — assert on whichever
         # backend this run settles with (REPRO_KERNEL-sensitive)
         phase_mode = (
-            "batched" if kernels.active().name == "batched" else "full"
+            "batched" if kernels.resolve() == "batched" else "full"
         )
         compute_routes(paper_graph, F)
         snap = get_registry().snapshot()
@@ -454,7 +454,7 @@ class TestRoutingInstruments:
 
         top_span = (
             "compute_routes_batched"
-            if kernels.active().name == "batched" else "compute_routes"
+            if kernels.resolve() == "batched" else "compute_routes"
         )
         get_tracer().enable()
         compute_routes(paper_graph, F)
@@ -492,7 +492,7 @@ class TestSessionInstruments:
         # destination's settle
         settle_span = (
             "settle_many"
-            if kernels.active().name == "batched" else "compute_routes"
+            if kernels.resolve() == "batched" else "compute_routes"
         )
         get_tracer().enable()
         session = SimulationSession(small_graph, parallel=True, max_workers=2)
